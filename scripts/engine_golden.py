@@ -1,0 +1,128 @@
+"""Record the search engine's exact behaviour as tests/goldens/engine.json.
+
+Three sections, each a list of [inputs..., answer, nodes, edges] rows:
+
+- "search": the raw engine `_search(n, ordered, target, budget)` on small
+  random targets (n = 3..6, SplitMix64 seeds 0..399) at budgets 3, 25 and
+  10^7; edges are in inclusion order, null unless YES.
+- "sparse": the same on random candidate subsets (n = 5..7) with planted
+  targets, half of them with one unit of degree moved, at budgets 25 and
+  10^7; the rows carry the candidate list.
+- "degseq": `decide_degseq(d, budget=10**7)` on the acceptance corpora of
+  criteria 3, 4 and 5 (planted YES, exhaustive small grids plus random
+  n = 6, and degseq reduced from 3-partition); edges are the certificate.
+
+tests/test_solver.py replays every row and demands identical answers,
+certificates and node counts. Rerun this only when a change is meant to
+move node counts (branching order, new pruning), and say so:
+
+    PYTHONPATH=src python scripts/engine_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import product
+from math import comb
+from pathlib import Path
+
+from hyperdeg import (
+    DegreeSequence,
+    SplitMix64,
+    ThreePartitionInstance,
+    decide_degseq,
+    enumerate_triples,
+    gen_partition,
+    gen_planted_degseq,
+    reduce_partition_to_degseq,
+)
+from hyperdeg.solver import _ordered_candidates, _search
+
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "goldens" / "engine.json"
+SEARCH_BUDGETS = (3, 25, 10**7)
+SPARSE_BUDGETS = (25, 10**7)
+DEGSEQ_BUDGET = 10**7
+
+
+def search_targets():
+    """(n, target) pairs drawn like the former engine lockstep test."""
+    for seed in range(400):
+        rng = SplitMix64(seed)
+        n = 3 + rng.below(4)
+        yield n, tuple(rng.below(comb(n - 1, 2) + 2) for _ in range(n))
+
+
+def sparse_cases():
+    """(n, candidates, target) with a planted or perturbed target."""
+    for seed in range(200):
+        rng = SplitMix64(10_000 + seed)
+        n = 5 + rng.below(3)
+        cands = [t for t in enumerate_triples(n) if rng.below(2)]
+        target = [0] * n
+        for t in cands:
+            if rng.below(2):
+                for v in t:
+                    target[v] += 1
+        u, v = rng.below(n), rng.below(n)
+        if rng.below(2) and target[u]:
+            target[u] -= 1
+            target[v] += 1
+        yield n, cands, tuple(target)
+
+
+def degseq_corpus():
+    """Degree sequences of acceptance criteria 3, 4 and 5, in test order."""
+    meta = SplitMix64(2024)
+    for i in range(1000):
+        n = 4 + i % 6
+        m = meta.below(comb(n, 3) + 1)
+        yield gen_planted_degseq(n, m, seed=i)[0].d.values
+    for n in (4, 5):
+        yield from product(range(4), repeat=n)
+    rng = SplitMix64(640)
+    for _ in range(500):
+        yield tuple(rng.below(11) for _ in range(6))
+    partitions = [ThreePartitionInstance(a, sum(a)) for a in product(range(5), repeat=3)]
+    partitions += [gen_partition(6, 8, seed=i, planted=(i < 100)) for i in range(200)]
+    for inst in partitions:
+        yield reduce_partition_to_degseq(inst).degseq.d.values
+
+
+def _edges(edges):
+    return None if edges is None else [list(e) for e in edges]
+
+
+def record() -> dict:
+    search = []
+    for n, target in search_targets():
+        ordered = _ordered_candidates(enumerate_triples(n), target)
+        for budget in SEARCH_BUDGETS:
+            answer, edges, nodes = _search(n, ordered, target, budget)
+            search.append([n, list(target), budget, answer, nodes, _edges(edges)])
+    sparse = []
+    for n, cands, target in sparse_cases():
+        ordered = _ordered_candidates(cands, target)
+        for budget in SPARSE_BUDGETS:
+            answer, edges, nodes = _search(n, ordered, target, budget)
+            row = [n, _edges(cands), list(target), budget, answer, nodes, _edges(edges)]
+            sparse.append(row)
+    degseq = []
+    for d in degseq_corpus():
+        out = decide_degseq(DegreeSequence(d), budget=DEGSEQ_BUDGET)
+        cert = out.certificate.edges if out.certificate is not None else None
+        degseq.append([list(d), out.answer, out.stats.nodes, _edges(cert)])
+    return {"search": search, "sparse": sparse, "degseq": degseq}
+
+
+def dump(golden: dict) -> str:
+    """One row per line, compact JSON inside each row."""
+    parts = []
+    for key in ("search", "sparse", "degseq"):
+        rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in golden[key])
+        parts.append(f'"{key}":[\n{rows}\n]')
+    return "{" + ",\n".join(parts) + "}\n"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(dump(record()), encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -2,7 +2,8 @@
 
 Every invocation prints one JSON result document to stdout and diagnostics
 to stderr. Exit codes: 0 = YES (or valid/graphical/success), 1 = NO,
-2 = usage or validation error, 3 = UNKNOWN (node budget exhausted).
+2 = usage or validation error, 3 = UNKNOWN (node budget exhausted),
+4 = internal error (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence, Union
@@ -318,6 +320,11 @@ def cli_main(argv: Union[Sequence[str], None] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # anything else is a bug; it must not read as YES, NO or UNKNOWN
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -14,8 +14,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
-import numpy as np
-
 from .core import CertificateCheck, DegreeSequence, InstanceTooLargeError
 
 Pair = tuple[int, int]
@@ -118,6 +116,8 @@ def hh_realize(d: DegreeSequence) -> Union[Graph, None]:
 @lru_cache(maxsize=None)
 def _graph_degree_vectors(n: int) -> frozenset[tuple[int, ...]]:
     """Degree vectors of all 2^C(n,2) labeled graphs on [n], enumerated once."""
+    import numpy as np  # only the oracle needs it; keeps `import hyperdeg` light
+
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
     if m == 0:

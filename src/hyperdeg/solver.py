@@ -13,8 +13,8 @@ undecided candidate counts per vertex, a branch is cut when
   (b) the residual total is not divisible by 3,
   (c) some r_v exceeds a third of the residual total, or
   (d) some r_v exceeds the number of undecided candidates containing v
-      that are still includable (maintained incrementally; a candidate
-      stops being includable once any of its vertices is saturated).
+      that are still includable (a candidate stops being includable once
+      any of its vertices is saturated).
 
 Each rule is a cheap necessary condition on any completion, so the search
 is exact: YES comes with a certificate, NO means the space was exhausted.
@@ -22,10 +22,13 @@ The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
 budget returns the same YES/NO on instances already decided.
 
-The engine exists twice with identical semantics: a pure-Python reference
-and a numba-compiled transliteration used when numba imports. Tests pin
-the two to the same answers, certificates, and node counts; the node
-budget and certificate are engine-independent.
+There is one engine, iterative over an explicit stack (no recursion
+limit), with the live candidates as one bitset int: availability is a
+popcount, the kills that follow a saturation are one AND, and a
+backtrack restores one int. Each node checks only the rules its branch
+could have broken, which is exact because its parent passed them all.
+tests/goldens/engine.json pins its answers, certificates, and node
+counts (regenerated by scripts/engine_golden.py).
 
 The brute-force oracles at the bottom are deliberately independent of the
 engine (and of the core degree arithmetic): they enumerate subsets by
@@ -40,13 +43,6 @@ from dataclasses import dataclass
 from math import comb
 from time import perf_counter
 from typing import Literal, Sequence, Union
-
-import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    njit = None
 
 from .core import (
     CertificateCheck,
@@ -81,10 +77,6 @@ class DecisionOutcome:
     stats: SearchStats
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
     """Cheap necessary conditions on d; a reason string means NO.
 
@@ -113,225 +105,85 @@ def _search(
 ) -> tuple[Answer, Union[tuple[Triple, ...], None], int]:
     """Run the include/exclude DFS; returns (answer, edges or None, nodes).
 
-    avail[v] counts the undecided candidates containing v that are still
-    includable; when an include saturates a vertex, the remaining
-    candidates through it are marked dead and removed from the counts of
-    their other vertices (and resurrected on backtrack).
+    Iterative over an explicit stack, so the depth is bounded by the
+    candidate count rather than by the interpreter's recursion limit. Bit p
+    of the int `live` marks candidate p as undecided and still includable
+    and vmask[v] marks the candidates through v, so avail[v] is
+    (live & vmask[v]).bit_count(), the next candidate is the lowest set bit
+    of live, and saturating u kills every candidate through it with one AND.
+    A frame is (pos, live without pos, included?), so backtracking restores
+    one int.
+
+    A child differs from its parent, which passed every rule, only where
+    the branch touched it, so only that is rechecked: (c) after an include
+    (the total fell), (d) at every vertex after an include that killed
+    candidates, and (d) at the branched triple after an exclude.
     """
-    m = len(candidates)
     r = list(target)
     total = sum(r)
     if total % 3:
         return "NO", None, 0
-    avail = [0] * n
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for idx, (i, j, k) in enumerate(candidates):
-        avail[i] += 1
-        avail[j] += 1
-        avail[k] += 1
-        by_vertex[i].append(idx)
-        by_vertex[j].append(idx)
-        by_vertex[k].append(idx)
-    alive = bytearray([1]) * m
-    chosen: list[Triple] = []
+    vmask = [0] * n
+    for p, (i, j, k) in enumerate(candidates):
+        bit = 1 << p
+        vmask[i] |= bit
+        vmask[j] |= bit
+        vmask[k] |= bit
+    live = (1 << len(candidates)) - 1
+    ok = all(3 * rv <= total and rv <= (live & mv).bit_count() for rv, mv in zip(r, vmask))
+    stack: list[tuple[int, int, bool]] = []
     nodes = 0
-
-    def rec(idx: int, total: int) -> bool:
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _BudgetExhausted
+            return "UNKNOWN", None, budget
         if total == 0:
-            return True
-        if idx == m:
-            return False
-        for v in range(n):
-            rv = r[v]
-            if 3 * rv > total or rv > avail[v]:
-                return False
-        while not alive[idx]:
-            # dead candidates can only be excluded; their counts are gone
-            idx += 1
-            if idx == m:
-                return False
-        t = candidates[idx]
-        i, j, k = t
-        avail[i] -= 1
-        avail[j] -= 1
-        avail[k] -= 1
-        if r[i] and r[j] and r[k]:
-            r[i] -= 1
-            r[j] -= 1
-            r[k] -= 1
-            killed: list[int] = []
-            for u in t:
-                if r[u] == 0:
-                    for idx2 in by_vertex[u]:
-                        if idx2 > idx and alive[idx2]:
-                            alive[idx2] = 0
-                            killed.append(idx2)
-                            a2, b2, c2 = candidates[idx2]
-                            avail[a2] -= 1
-                            avail[b2] -= 1
-                            avail[c2] -= 1
-            chosen.append(t)
-            if rec(idx + 1, total - 3):
-                return True
-            chosen.pop()
-            for idx2 in reversed(killed):
-                alive[idx2] = 1
-                a2, b2, c2 = candidates[idx2]
-                avail[a2] += 1
-                avail[b2] += 1
-                avail[c2] += 1
+            return "YES", tuple(candidates[p] for p, _, inc in stack if inc), nodes
+        if ok and live:
+            low = live & -live
+            rest = live ^ low
+            pos = low.bit_length() - 1
+            i, j, k = candidates[pos]
+            if r[i] and r[j] and r[k]:
+                r[i] -= 1
+                r[j] -= 1
+                r[k] -= 1
+                total -= 3
+                live = rest
+                for u in (i, j, k):
+                    if not r[u]:
+                        live &= ~vmask[u]
+                stack.append((pos, rest, True))
+                ok = 3 * max(r) <= total
+                if ok and live != rest:
+                    for rv, mv in zip(r, vmask):
+                        if rv > (live & mv).bit_count():
+                            ok = False
+                            break
+                continue
+            stack.append((pos, rest, False))
+            live = rest
+        else:
+            # the node failed: resume at the deepest include not yet excluded
+            while stack:
+                pos, rest, included = stack.pop()
+                if included:
+                    break
+            else:
+                return "NO", None, nodes
+            i, j, k = candidates[pos]
             r[i] += 1
             r[j] += 1
             r[k] += 1
-        if rec(idx + 1, total):
-            return True
-        avail[i] += 1
-        avail[j] += 1
-        avail[k] += 1
-        return False
-
-    try:
-        found = rec(0, total)
-    except _BudgetExhausted:
-        return "UNKNOWN", None, budget
-    if found:
-        return "YES", tuple(chosen), nodes
-    return "NO", None, nodes
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _rec_compiled(pos, total, cand, by_off, by_idx, r, avail, alive, chosen, killed, counters, budget):  # pragma: no cover - exercised via _search_compiled
-        # transliteration of the rec() closure in _search; counters hold
-        # (nodes, killed-stack top, chosen length)
-        counters[0] += 1
-        if counters[0] > budget:
-            return -1
-        if total == 0:
-            return 1
-        m = cand.shape[0]
-        if pos == m:
-            return 0
-        n = r.shape[0]
-        for v in range(n):
-            rv = r[v]
-            if 3 * rv > total or rv > avail[v]:
-                return 0
-        while alive[pos] == 0:
-            pos += 1
-            if pos == m:
-                return 0
-        i = cand[pos, 0]
-        j = cand[pos, 1]
-        k = cand[pos, 2]
-        avail[i] -= 1
-        avail[j] -= 1
-        avail[k] -= 1
-        if r[i] > 0 and r[j] > 0 and r[k] > 0:
-            r[i] -= 1
-            r[j] -= 1
-            r[k] -= 1
-            kstart = counters[1]
-            for u in (i, j, k):
-                if r[u] == 0:
-                    for p in range(by_off[u], by_off[u + 1]):
-                        idx2 = by_idx[p]
-                        if idx2 > pos and alive[idx2] == 1:
-                            alive[idx2] = 0
-                            killed[counters[1]] = idx2
-                            counters[1] += 1
-                            avail[cand[idx2, 0]] -= 1
-                            avail[cand[idx2, 1]] -= 1
-                            avail[cand[idx2, 2]] -= 1
-            chosen[counters[2]] = pos
-            counters[2] += 1
-            st = _rec_compiled(pos + 1, total - 3, cand, by_off, by_idx, r, avail, alive, chosen, killed, counters, budget)
-            if st != 0:
-                return st
-            counters[2] -= 1
-            for q in range(counters[1] - 1, kstart - 1, -1):
-                idx2 = killed[q]
-                alive[idx2] = 1
-                avail[cand[idx2, 0]] += 1
-                avail[cand[idx2, 1]] += 1
-                avail[cand[idx2, 2]] += 1
-            counters[1] = kstart
-            r[i] += 1
-            r[j] += 1
-            r[k] += 1
-        st = _rec_compiled(pos + 1, total, cand, by_off, by_idx, r, avail, alive, chosen, killed, counters, budget)
-        if st != 0:
-            return st
-        avail[i] += 1
-        avail[j] += 1
-        avail[k] += 1
-        return 0
-
-else:
-    _rec_compiled = None
-
-
-def _search_compiled(
-    n: int, candidates: Sequence[Triple], target: Sequence[int], budget: int
-) -> tuple[Answer, Union[tuple[Triple, ...], None], int]:
-    """Same contract and node accounting as _search, via the numba engine."""
-    m = len(candidates)
-    r = list(target)
-    total = sum(r)
-    if total % 3:
-        return "NO", None, 0
-    if budget < 1:
-        return "UNKNOWN", None, 0
-    # everything inside the compiled engine must stay far from the int64
-    # edge; a residual above the candidate count dies at the root node of
-    # the reference engine, so report the same single node here
-    if any(rv > m for rv in r):
-        return "NO", None, 1
-    cand = np.array(candidates, dtype=np.int64).reshape(m, 3) if m else np.zeros((0, 3), dtype=np.int64)
-    lists: list[list[int]] = [[] for _ in range(n)]
-    avail = np.zeros(n, dtype=np.int64)
-    for idx, (i, j, k) in enumerate(candidates):
-        avail[i] += 1
-        avail[j] += 1
-        avail[k] += 1
-        lists[i].append(idx)
-        lists[j].append(idx)
-        lists[k].append(idx)
-    by_off = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        by_off[v + 1] = by_off[v] + len(lists[v])
-    flat = [x for lst in lists for x in lst]
-    by_idx = np.array(flat if flat else [0], dtype=np.int64)
-    alive = np.ones(max(m, 1), dtype=np.uint8)
-    chosen = np.zeros(max(m, 1), dtype=np.int64)
-    killed = np.zeros(max(m, 1), dtype=np.int64)
-    counters = np.zeros(3, dtype=np.int64)
-    status = _rec_compiled(
-        0,
-        total,
-        cand,
-        by_off,
-        by_idx,
-        np.array(r, dtype=np.int64),
-        avail,
-        alive,
-        chosen,
-        killed,
-        counters,
-        budget,
-    )
-    nodes = int(counters[0])
-    if status < 0:
-        return "UNKNOWN", None, budget
-    if status == 1:
-        edges = tuple(candidates[chosen[q]] for q in range(int(counters[2])))
-        return "YES", edges, nodes
-    return "NO", None, nodes
+            total += 3
+            live = rest
+            stack.append((pos, rest, False))
+        # an exclude child: only (d) at the branched triple can have changed
+        ok = (
+            r[i] <= (live & vmask[i]).bit_count()
+            and r[j] <= (live & vmask[j]).bit_count()
+            and r[k] <= (live & vmask[k]).bit_count()
+        )
 
 
 def _ordered_candidates(
@@ -370,10 +222,7 @@ def _run_search(
         tuple(cd - t for cd, t in zip(cand_deg, target)) if flipped else target
     )
     ordered = _ordered_candidates(candidates, effective)
-    if _rec_compiled is not None:
-        answer, edges, nodes = _search_compiled(n, ordered, effective, budget)
-    else:
-        answer, edges, nodes = _search(n, ordered, effective, budget)
+    answer, edges, nodes = _search(n, ordered, effective, budget)
     if edges is not None:
         if flipped:
             complement = set(edges)
@@ -492,6 +341,8 @@ def _exists_subset_with_degrees(
     vertex v. Vectorized in chunks; exact, no pruning beyond the fact that
     no degree can exceed the candidate count.
     """
+    import numpy as np  # only the oracles need it; keeps `import hyperdeg` light
+
     m = len(candidates)
     tgt = [int(x) for x in target]
     if any(x < 0 or x > m for x in tgt):

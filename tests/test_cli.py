@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hyperdeg
+import hyperdeg.cli
 from hyperdeg.cli import cli_main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -39,6 +44,28 @@ class TestDecide:
         code, doc = out_json(capsys, "decide", "--input", str(hard), "--budget", "1")
         assert code == 3
         assert doc["answer"] == "UNKNOWN"
+
+    def test_deep_search_yes_exit_0(self, capsys, tmp_path):
+        # 1141 nodes deep; the former recursive engine crashed here and the
+        # traceback left with exit code 1, the code for NO
+        deep = tmp_path / "deep.json"
+        d = [171] * 20 + [0] * 5
+        deep.write_text(json.dumps({"problem": "degseq", "k": 3, "d": d}))
+        code, doc = out_json(capsys, "decide", "--input", str(deep))
+        assert code == 0
+        assert doc["answer"] == "YES"
+        assert doc["stats"]["nodes"] == 1141
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def broken(d, budget):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(hyperdeg.cli, "decide_degseq", broken)
+        code, out, err = run(capsys, "decide", "--input", str(GOLDENS / "degseq_yes.json"))
+        assert code == 4
+        assert out == ""
+        assert "Traceback" in err
+        assert err.endswith("internal error: RuntimeError: engine bug\n")
 
     def test_zero_weight_instance(self, capsys):
         code, doc = out_json(capsys, "decide", "--input", str(GOLDENS / "zero_weight_no.json"))
@@ -330,3 +357,14 @@ class TestPipeline:
         )
         assert code == 0
         assert doc["valid"] is True
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the brute-force oracles, so every CLI call skips it
+    src = Path(hyperdeg.__file__).resolve().parent.parent
+    probe = "import sys, hyperdeg.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"
