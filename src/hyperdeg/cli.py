@@ -101,17 +101,20 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
         started = perf_counter()
         realization = hh_realize(inst.d)
-        graphical = eg_check(inst.d)
+        graphical = realization is not None
+        answer = "YES" if graphical else "NO"
+        if eg_check(inst.d) != graphical:
+            raise RuntimeError(f"internal error: Havel-Hakimi says {answer}, Erdos-Gallai disagrees")
         millis = int((perf_counter() - started) * 1000)
-        cert_doc = certificate_document(realization) if realization is not None else None
+        cert_doc = certificate_document(realization) if graphical else None
         _emit(
             {
-                "answer": "YES" if graphical else "NO",
+                "answer": answer,
                 "certificate": cert_doc,
                 "stats": {"nodes": 0, "millis": millis},
             }
         )
-        if args.certificate_out and realization is not None:
+        if args.certificate_out and graphical:
             Path(args.certificate_out).write_text(
                 serialize_certificate(realization), encoding="utf-8"
             )

@@ -1,15 +1,21 @@
 """Exact deciders with certificates for the three decision problems.
 
-One search engine serves all three: depth-first over a static candidate
-triple list with include/exclude branching, include tried first. The list
-is sorted once, highest total demand d_i + d_j + d_k first with
-lexicographic tie-break: triples the target leans on hardest are decided
-first, which on reduced instances reaches the forced part of the
-certificate before the search can wander (pure lexicographic order needs
-billions of nodes there). At each node, on residual degrees r and the
-undecided candidate counts per vertex, a branch is cut when
+One search engine serves all three: depth-first include/exclude
+branching, include tried first. Each node branches through the vertex of
+largest residual demand (lowest index on ties), the rule Havel-Hakimi uses
+for graphs (graph.hh_realize), and takes that vertex's candidates in a
+static demand order: highest total demand d_i + d_j + d_k first,
+lexicographic on ties. Serving the neediest vertex first meets its demand
+while it still has candidates left, and on reduced instances the demand
+order reaches the forced part of the certificate before the search can
+wander (pure lexicographic order needs billions of nodes there).
+Candidates through a vertex of zero demand are dropped before the search
+starts, so every candidate it sees is includable. At each node, on
+residual degrees r and the undecided candidate counts per vertex, a
+branch is cut when
 
-  (a) some r_v would go negative (includes are guarded, so never),
+  (a) some r_v would go negative (never: a candidate is dropped as soon
+      as one of its vertices is saturated),
   (b) the residual total is not divisible by 3,
   (c) some r_v exceeds a third of the residual total, or
   (d) some r_v exceeds the number of undecided candidates containing v
@@ -25,7 +31,7 @@ budget returns the same YES/NO on instances already decided.
 There is one engine, iterative over an explicit stack (no recursion
 limit), with the live candidates as one bitset int: availability is a
 popcount, the kills that follow a saturation are one AND, and a
-backtrack restores one int. Each node checks only the rules its branch
+backtrack restores two ints. Each node checks only the rules its branch
 could have broken, which is exact because its parent passed them all.
 tests/goldens/engine.json pins its answers, certificates, and node
 counts (regenerated by scripts/engine_golden.py).
@@ -42,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from time import perf_counter
-from typing import Literal, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 from .core import (
     CertificateCheck,
@@ -109,15 +115,20 @@ def _search(
     candidate count rather than by the interpreter's recursion limit. Bit p
     of the int `live` marks candidate p as undecided and still includable
     and vmask[v] marks the candidates through v, so avail[v] is
-    (live & vmask[v]).bit_count(), the next candidate is the lowest set bit
-    of live, and saturating u kills every candidate through it with one AND.
-    A frame is (pos, live without pos, included?), so backtracking restores
-    one int.
+    (live & vmask[v]).bit_count() and saturating u kills every candidate
+    through it with one AND; candidates through a zero-demand vertex are
+    killed once, up front. Each node branches on the lowest live candidate
+    through v, the vertex of largest residual (lowest index on ties), so
+    candidates' order in the list only ranks those through one vertex.
+    An include recomputes v from the max(r) that rule (c) needs anyway; an
+    exclude leaves r and so v as they were. A frame is
+    (pos, live without pos, included?, v), so backtracking restores two
+    ints and rescans nothing.
 
     A child differs from its parent, which passed every rule, only where
     the branch touched it, so only that is rechecked: (c) after an include
-    (the total fell), (d) at every vertex after an include that killed
-    candidates, and (d) at the branched triple after an exclude.
+    (the total fell), (d) at every unsaturated vertex after an include that
+    killed candidates, and (d) at the branched triple after an exclude.
     """
     r = list(target)
     total = sum(r)
@@ -130,54 +141,57 @@ def _search(
         vmask[j] |= bit
         vmask[k] |= bit
     live = (1 << len(candidates)) - 1
+    for rv, mv in zip(r, vmask):
+        if not rv:
+            live &= ~mv
     ok = all(3 * rv <= total and rv <= (live & mv).bit_count() for rv, mv in zip(r, vmask))
-    stack: list[tuple[int, int, bool]] = []
+    v = max(range(n), key=r.__getitem__, default=0)
+    stack: list[tuple[int, int, bool, int]] = []
     nodes = 0
     while True:
         nodes += 1
         if nodes > budget:
             return "UNKNOWN", None, budget
         if total == 0:
-            return "YES", tuple(candidates[p] for p, _, inc in stack if inc), nodes
-        if ok and live:
-            low = live & -live
+            return "YES", tuple(candidates[p] for p, _, inc, _ in stack if inc), nodes
+        if ok:
+            cand = live & vmask[v]
+            low = cand & -cand
             rest = live ^ low
             pos = low.bit_length() - 1
             i, j, k = candidates[pos]
-            if r[i] and r[j] and r[k]:
-                r[i] -= 1
-                r[j] -= 1
-                r[k] -= 1
-                total -= 3
-                live = rest
-                for u in (i, j, k):
-                    if not r[u]:
-                        live &= ~vmask[u]
-                stack.append((pos, rest, True))
-                ok = 3 * max(r) <= total
-                if ok and live != rest:
-                    for rv, mv in zip(r, vmask):
-                        if rv > (live & mv).bit_count():
-                            ok = False
-                            break
-                continue
-            stack.append((pos, rest, False))
+            r[i] -= 1
+            r[j] -= 1
+            r[k] -= 1
+            total -= 3
             live = rest
+            for u in (i, j, k):
+                if not r[u]:
+                    live &= ~vmask[u]
+            stack.append((pos, rest, True, v))
+            top = max(r)
+            ok = 3 * top <= total
+            if ok and live != rest:
+                for rv, mv in zip(r, vmask):
+                    if rv and rv > (live & mv).bit_count():
+                        ok = False
+                        break
+            v = r.index(top)
+            continue
+        # the node failed: resume at the deepest include not yet excluded
+        while stack:
+            pos, rest, included, v = stack.pop()
+            if included:
+                break
         else:
-            # the node failed: resume at the deepest include not yet excluded
-            while stack:
-                pos, rest, included = stack.pop()
-                if included:
-                    break
-            else:
-                return "NO", None, nodes
-            i, j, k = candidates[pos]
-            r[i] += 1
-            r[j] += 1
-            r[k] += 1
-            total += 3
-            live = rest
-            stack.append((pos, rest, False))
+            return "NO", None, nodes
+        i, j, k = candidates[pos]
+        r[i] += 1
+        r[j] += 1
+        r[k] += 1
+        total += 3
+        live = rest
+        stack.append((pos, rest, False, v))
         # an exclude child: only (d) at the branched triple can have changed
         ok = (
             r[i] <= (live & vmask[i]).bit_count()
@@ -189,7 +203,11 @@ def _search(
 def _ordered_candidates(
     candidates: Sequence[Triple], target: Sequence[int]
 ) -> list[Triple]:
-    """Static branching order: highest total demand first, then lexicographic."""
+    """Static candidate order: highest total demand first, then lexicographic.
+
+    _search branches through the vertex of largest residual, so this order
+    only decides which of that vertex's candidates it tries first.
+    """
     return sorted(candidates, key=lambda t: (-(target[t[0]] + target[t[1]] + target[t[2]]), t))
 
 
@@ -243,18 +261,35 @@ def _outcome(
     return DecisionOutcome(answer, certificate, SearchStats(nodes, millis, used))
 
 
+def _certificate(
+    answer: Answer,
+    n: int,
+    edges: Union[Sequence[Triple], None],
+    check: Callable[[Sequence[Triple]], CertificateCheck],
+) -> Union[Hypergraph, None]:
+    """The engine's YES edges as a Hypergraph, verified before it is built.
+
+    The verifiers never raise on malformed edges, so every fault in the
+    engine's output, malformed triples included, surfaces as RuntimeError
+    (exit code 4 in the CLI), never as the ValueError of a bad instance.
+    """
+    if answer != "YES":
+        return None
+    check_result = check(edges)
+    if not check_result:
+        raise RuntimeError(
+            f"internal error: search returned an invalid certificate ({check_result.reason})"
+        )
+    return Hypergraph(n, tuple(edges))
+
+
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether d is the degree sequence of a 3-hypergraph on [n]."""
     started = perf_counter()
     if prefilter_degseq(d) is not None:
         return _outcome("NO", None, 0, budget, started)
     answer, edges, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
-    certificate = None
-    if answer == "YES":
-        assert edges is not None
-        certificate = Hypergraph(d.n, edges)
-        if not verify_certificate(certificate, d):
-            raise RuntimeError("internal error: search returned an invalid certificate")
+    certificate = _certificate(answer, d.n, edges, lambda e: verify_certificate(e, d))
     return _outcome(answer, certificate, nodes, budget, started)
 
 
@@ -266,12 +301,7 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
     started = perf_counter()
     sp = sign_partition(inst.w)
     answer, edges, nodes = _run_search(inst.n, sp.s_zero.edges, inst.c.values, budget)
-    certificate = None
-    if answer == "YES":
-        assert edges is not None
-        certificate = Hypergraph(inst.n, edges)
-        if not verify_zero_certificate(certificate.edges, inst):
-            raise RuntimeError("internal error: search returned an invalid certificate")
+    certificate = _certificate(answer, inst.n, edges, lambda e: verify_zero_certificate(e, inst))
     return _outcome(answer, certificate, nodes, budget, started)
 
 
@@ -295,12 +325,9 @@ def decide_partition(
         if i64(a[x[0]] + a[x[1]] + a[x[2]], "a.x") == b
     ]
     answer, edges, nodes = _run_search(inst.n, candidates, (1,) * inst.n, budget)
-    certificate = None
-    if answer == "YES":
-        assert edges is not None
-        certificate = Hypergraph(inst.n, edges)
-        if not verify_partition_certificate(certificate.edges, inst):
-            raise RuntimeError("internal error: search returned an invalid certificate")
+    certificate = _certificate(
+        answer, inst.n, edges, lambda e: verify_partition_certificate(e, inst)
+    )
     return _outcome(answer, certificate, nodes, budget, started)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import hyperdeg
 import hyperdeg.cli
+import hyperdeg.solver
 from hyperdeg.cli import cli_main
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -67,6 +68,24 @@ class TestDecide:
         assert "Traceback" in err
         assert err.endswith("internal error: RuntimeError: engine bug\n")
 
+    @pytest.mark.parametrize(
+        "golden", ["degseq_yes.json", "zero_weight_no.json", "three_partition_6.json"]
+    )
+    def test_malformed_engine_output_exit_4(self, capsys, monkeypatch, golden):
+        # a repeated triple fails Hypergraph construction with ValueError; an
+        # engine fault must not read as the exit 2 of an invalid instance
+        def broken(n, candidates, target, budget):
+            return "YES", ((0, 1, 2), (0, 1, 2)), 1
+
+        monkeypatch.setattr(hyperdeg.solver, "_run_search", broken)
+        code, out, err = run(capsys, "decide", "--input", str(GOLDENS / golden))
+        assert code == 4
+        assert out == ""
+        assert err.endswith(
+            "internal error: RuntimeError: internal error: "
+            "search returned an invalid certificate (edges_out_of_order)\n"
+        )
+
     def test_zero_weight_instance(self, capsys):
         code, doc = out_json(capsys, "decide", "--input", str(GOLDENS / "zero_weight_no.json"))
         assert code == 1
@@ -88,6 +107,40 @@ class TestDecide:
         assert code == 0
         assert doc["answer"] == "YES"
         assert doc["certificate"]["certificate"] == "graph"
+
+    @pytest.mark.parametrize(
+        "d, code, stdout",
+        [
+            (
+                [3, 3, 2, 2, 2],
+                0,
+                '{"answer":"YES","certificate":{"certificate":"graph","edges":'
+                '[[0,1],[0,2],[0,3],[1,2],[1,4],[3,4]]},"stats":{"nodes":0,"millis":0}}\n',
+            ),
+            ([3, 3, 1, 1], 1, '{"answer":"NO","certificate":null,"stats":{"nodes":0,"millis":0}}\n'),
+        ],
+    )
+    def test_k2_stdout_bytes(self, capsys, monkeypatch, tmp_path, d, code, stdout):
+        monkeypatch.setattr(hyperdeg.cli, "perf_counter", lambda: 0.0)
+        inst = tmp_path / "k2.json"
+        inst.write_text(json.dumps({"problem": "degseq", "k": 2, "d": d}))
+        assert run(capsys, "decide", "--input", str(inst)) == (code, stdout, "")
+
+    @pytest.mark.parametrize(
+        "name, stub, says",
+        [("hh_realize", lambda d: None, "NO"), ("eg_check", lambda d: False, "YES")],
+        ids=["hh_realize", "eg_check"],
+    )
+    def test_k2_disagreement_exit_4(self, capsys, monkeypatch, tmp_path, name, stub, says):
+        # Havel-Hakimi decides; Erdos-Gallai is a cross-check, and a
+        # disagreement is a bug, never a YES without a certificate
+        monkeypatch.setattr(hyperdeg.cli, name, stub)
+        inst = tmp_path / "k2.json"
+        inst.write_text('{"problem":"degseq","k":2,"d":[1,1]}\n')
+        code, out, err = run(capsys, "decide", "--input", str(inst))
+        assert code == 4
+        assert out == ""
+        assert err.endswith(f"Havel-Hakimi says {says}, Erdos-Gallai disagrees\n")
 
     def test_k_mismatch_exit_2(self, capsys):
         code, out, err = run(

@@ -229,8 +229,9 @@ class TestOracleAgreement:
 class TestEngineGolden:
     """Answers, certificates and node counts pinned to tests/goldens/engine.json.
 
-    The golden was recorded from the former recursive engine; any change to
-    a node count is a behaviour change and must regenerate it on purpose
+    The golden was recorded from the largest-residual engine, which branches
+    through the vertex of highest residual demand; any change to a node
+    count is a behaviour change and must regenerate it on purpose
     (scripts/engine_golden.py).
     """
 
@@ -267,6 +268,20 @@ class TestEngineGolden:
         assert out.answer == "YES"
         assert out.stats.nodes == 1141
         assert verify_certificate(out.certificate, d)
+
+
+class TestLargestResidualBranching:
+    def test_planted_n10_decided_within_2000_nodes(self):
+        # the 50 planted instances of scripts/bench_engine.py --sizes 10
+        # --per-size 50 at seed 0: branching in one static order left 4 of
+        # them UNKNOWN even at 2M nodes; through the largest residual the
+        # worst needs 1201
+        meta = SplitMix64(10)
+        for i in range(50):
+            inst, _ = gen_planted_degseq(10, meta.below(comb(10, 3) + 1), seed=i)
+            out = decide_degseq(inst.d, budget=2000)
+            assert out.answer == "YES", i
+            assert verify_certificate(out.certificate, inst.d), i
 
 
 class TestPlantedRoundTrip:
