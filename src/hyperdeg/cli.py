@@ -9,25 +9,16 @@ to stderr. Exit codes: 0 = YES (or valid/graphical/success), 1 = NO,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
 from time import perf_counter
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
-from .core import (
-    CertificateError,
-    DegreeSequence,
-    GroundSetMismatchError,
-    InstanceTooLargeError,
-    Int64OverflowError,
-    verify_certificate,
-)
+from .core import DegreeSequence, Int64OverflowError, verify_certificate
 from .graph import eg_check, graph_bruteforce, hh_realize, verify_graph_certificate
 from .reduction import (
     DegSeqInstance,
-    PromiseViolationError,
     ThreePartitionInstance,
     ZeroWeightInstance,
     reduce_partition_to_degseq,
@@ -36,6 +27,8 @@ from .reduction import (
 )
 from .solver import (
     DEFAULT_BUDGET,
+    DecisionOutcome,
+    SearchStats,
     bruteforce_degseq,
     bruteforce_partition,
     bruteforce_zero,
@@ -46,9 +39,7 @@ from .solver import (
     verify_zero_certificate,
 )
 from .workbench import (
-    CertificateDoc,
     ParseError,
-    certificate_document,
     dump_document,
     gen_partition,
     gen_planted_degseq,
@@ -62,29 +53,20 @@ from .workbench import (
 
 _EXIT_BY_ANSWER = {"YES": 0, "NO": 1, "UNKNOWN": 3}
 
+_Doc = TypeVar("_Doc")
 
-class _CliError(Exception):
+
+class _CliError(ValueError):
     """Validation failure; message goes to stderr, exit code is 2."""
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse: Callable[[str], _Doc]) -> _Doc:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-
-
-def _load_instance(path: str):
     try:
-        return parse_instance(_read(path))
-    except ParseError as exc:
-        field = f" (field: {exc.field})" if exc.field else ""
-        raise _CliError(f"{path}: {exc}{field}") from None
-
-
-def _load_certificate(path: str) -> CertificateDoc:
-    try:
-        return parse_certificate(_read(path))
+        return parse(text)
     except ParseError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         raise _CliError(f"{path}: {exc}{field}") from None
@@ -94,32 +76,28 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(dump_document(doc))
 
 
+def _decide_graph(d: DegreeSequence) -> DecisionOutcome:
+    """The one k = 2 decider: Havel-Hakimi decides and certifies.
+
+    eg_check is a cross-check; a disagreement is a bug, never an answer,
+    so it raises RuntimeError (exit code 4).
+    """
+    started = perf_counter()
+    realization = hh_realize(d)
+    answer = "YES" if realization is not None else "NO"
+    if eg_check(d) != (realization is not None):
+        raise RuntimeError(f"internal error: Havel-Hakimi says {answer}, Erdos-Gallai disagrees")
+    millis = int((perf_counter() - started) * 1000)
+    return DecisionOutcome(answer, realization, SearchStats(0, millis, 0.0))
+
+
 def _cmd_decide(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.input)
+    inst = _load(args.input, parse_instance)
     if args.k is not None and (not isinstance(inst, DegSeqInstance) or inst.k != args.k):
         raise _CliError(f"--k {args.k} does not match the instance in {args.input}")
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
-        started = perf_counter()
-        realization = hh_realize(inst.d)
-        graphical = realization is not None
-        answer = "YES" if graphical else "NO"
-        if eg_check(inst.d) != graphical:
-            raise RuntimeError(f"internal error: Havel-Hakimi says {answer}, Erdos-Gallai disagrees")
-        millis = int((perf_counter() - started) * 1000)
-        cert_doc = certificate_document(realization) if graphical else None
-        _emit(
-            {
-                "answer": answer,
-                "certificate": cert_doc,
-                "stats": {"nodes": 0, "millis": millis},
-            }
-        )
-        if args.certificate_out and graphical:
-            Path(args.certificate_out).write_text(
-                serialize_certificate(realization), encoding="utf-8"
-            )
-        return 0 if graphical else 1
-    if isinstance(inst, DegSeqInstance):
+        outcome = _decide_graph(inst.d)
+    elif isinstance(inst, DegSeqInstance):
         outcome = decide_degseq(inst.d, budget=args.budget)
     elif isinstance(inst, ZeroWeightInstance):
         outcome = decide_zero(inst, budget=args.budget)
@@ -134,7 +112,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.input)
+    inst = _load(args.input, parse_instance)
     expected = {
         "three_partition": ThreePartitionInstance,
         "zero_weight": ZeroWeightInstance,
@@ -171,8 +149,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    cert = _load_certificate(args.certificate)
+    inst = _load(args.instance, parse_instance)
+    cert = _load(args.certificate, parse_certificate)
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
         if cert.kind != "graph":
             raise _CliError("a k = 2 instance needs a 'graph' certificate")
@@ -191,36 +169,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.input)
+    inst = _load(args.input, parse_instance)
     started = perf_counter()
-    try:
-        if isinstance(inst, DegSeqInstance):
-            answer = graph_bruteforce(inst.d) if inst.k == 2 else bruteforce_degseq(inst.d)
-        elif isinstance(inst, ZeroWeightInstance):
-            answer = bruteforce_zero(inst)
-        else:
-            answer = bruteforce_partition(inst)
-    except InstanceTooLargeError as exc:
-        raise _CliError(str(exc)) from None
+    if isinstance(inst, DegSeqInstance):
+        found = graph_bruteforce(inst.d) if inst.k == 2 else bruteforce_degseq(inst.d)
+    elif isinstance(inst, ZeroWeightInstance):
+        found = bruteforce_zero(inst)
+    else:
+        found = bruteforce_partition(inst)
+    answer = "YES" if found else "NO"
     millis = int((perf_counter() - started) * 1000)
-    _emit(
-        {
-            "answer": "YES" if answer else "NO",
-            "certificate": None,
-            "stats": {"nodes": 0, "millis": millis},
-        }
-    )
-    return 0 if answer else 1
+    _emit(result_document(DecisionOutcome(answer, None, SearchStats(0, millis, 0.0))))
+    return _EXIT_BY_ANSWER[answer]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.problem == "degseq":
         if args.m is None:
             raise _CliError("gen --problem degseq needs --m")
-        try:
-            inst, witness = gen_planted_degseq(args.n, args.m, args.seed)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
+        inst, witness = gen_planted_degseq(args.n, args.m, args.seed)
         sys.stdout.write(serialize_instance(inst))
         if args.witness_out:
             Path(args.witness_out).write_text(
@@ -229,24 +196,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return 0
     if args.max_value is None:
         raise _CliError("gen --problem three_partition needs --max-value")
-    try:
-        inst = gen_partition(args.n, args.max_value, args.seed, planted=args.planted)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    inst = gen_partition(args.n, args.max_value, args.seed, planted=args.planted)
     sys.stdout.write(serialize_instance(inst))
     return 0
 
 
 def _cmd_graph_check(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.input)
+    inst = _load(args.input, parse_instance)
     if not isinstance(inst, DegSeqInstance) or inst.k != 2:
         raise _CliError("graph-check needs a degseq instance with k = 2")
-    graphical = eg_check(inst.d)
-    realization = None
-    if args.realize and graphical:
-        g = hh_realize(inst.d)
-        if g is not None:
-            realization = [list(e) for e in g.edges]
+    graph = _decide_graph(inst.d).certificate
+    graphical = graph is not None
+    realization = [list(e) for e in graph.edges] if args.realize and graphical else None
     _emit({"graphical": graphical, "realization": realization})
     return 0 if graphical else 1
 
@@ -292,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", default=None, help="write the planted witness here (degseq)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("graph-check", help="Erdos-Gallai test for k = 2 instances")
+    p = sub.add_parser("graph-check", help="Havel-Hakimi test for k = 2, Erdos-Gallai checked")
     p.add_argument("--input", required=True)
     p.add_argument("--realize", action="store_true", help="include a Havel-Hakimi realization")
     p.set_defaults(func=_cmd_graph_check)
@@ -308,19 +269,7 @@ def cli_main(argv: Union[Sequence[str], None] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ParseError,
-        PromiseViolationError,
-        CertificateError,
-        GroundSetMismatchError,
-        Int64OverflowError,
-        InstanceTooLargeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, Int64OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

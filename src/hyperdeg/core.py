@@ -5,6 +5,9 @@ strictly increasing lexicographic order inside a hypergraph, so edge sets
 are duplicate-free by construction. The 0/1 incidence-vector view of an
 edge is recoverable as the indicator vector of {i, j, k}.
 
+check_edges is the one edge-list check, for these triples and for the
+pairs of graph.Graph; both types and every certificate verifier use it.
+
 Every aggregate value carries its ground-set size n and operations reject
 operands that disagree on n. All integer arithmetic is checked against the
 signed 64-bit range: a result outside [-2^63, 2^63 - 1] raises
@@ -17,8 +20,8 @@ Everything here is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -40,6 +43,14 @@ class InstanceTooLargeError(ValueError):
 
 class CertificateError(ValueError):
     """A certificate map was applied to a hypergraph that cannot certify."""
+
+
+class EdgeListError(ValueError):
+    """An edge list failed check_edges; `reason` is the verifier's reason."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def i64(value: int, what: str = "value") -> int:
@@ -81,25 +92,46 @@ def _validate_triple(edge: Sequence[int], n: int) -> Triple:
     return (i, j, k)
 
 
+def check_edges(
+    edges: Iterable[Sequence[int]], n: int, parse: Callable[[Sequence[int], int], tuple]
+) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """Validate a strictly increasing edge list on [n]; return (edges, degrees).
+
+    One pass: parse(edge, n) returns one edge's index tuple or raises
+    ValueError. Raises EdgeListError with reason "malformed_edge" or
+    "edges_out_of_order".
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"ground-set size must be a nonnegative integer, got {n!r}")
+    canon = []
+    counts = [0] * n
+    prev = None
+    for edge in edges:
+        try:
+            e = parse(edge, n)
+        except ValueError as exc:
+            raise EdgeListError("malformed_edge", str(exc)) from None
+        if prev is not None and e <= prev:
+            raise EdgeListError("edges_out_of_order", f"edges not strictly increasing at {e}")
+        for v in e:
+            counts[v] += 1
+        canon.append(e)
+        prev = e
+    return tuple(canon), tuple(counts)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A set of triples on ground set [n], stored in increasing lex order."""
 
     n: int
     edges: tuple[Triple, ...] = ()
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"ground-set size must be a nonnegative integer, got {self.n!r}")
-        canon = []
-        prev = None
-        for edge in self.edges:
-            t = _validate_triple(edge, self.n)
-            if prev is not None and t <= prev:
-                raise ValueError(f"edges not strictly increasing at {t}")
-            canon.append(t)
-            prev = t
-        object.__setattr__(self, "edges", tuple(canon))
+        edges, degrees = check_edges(self.edges, self.n, _validate_triple)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degrees", degrees)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -109,8 +141,8 @@ class Hypergraph:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __contains__(self, edge: object) -> bool:
-        return edge in set(self.edges)
+    def __iter__(self) -> Iterator[Triple]:
+        return iter(self.edges)
 
 
 @dataclass(frozen=True)
@@ -205,13 +237,8 @@ def enumerate_triples(n: int) -> list[Triple]:
 
 def degree_sum(h: Hypergraph) -> DegreeSequence:
     """Per-vertex incidence counts of h; the entries total 3 * |edges|."""
-    counts = [0] * h.n
-    for i, j, k in h.edges:
-        counts[i] += 1
-        counts[j] += 1
-        counts[k] += 1
     i64(3 * len(h.edges), "degree total")
-    return DegreeSequence(tuple(counts))
+    return DegreeSequence(h.degrees)
 
 
 def weighted_value(w: WeightVector, x: Sequence[int]) -> int:
@@ -248,35 +275,30 @@ def sign_partition(w: WeightVector) -> SignPartition:
 
 
 def verify_certificate(
-    h: Union[Hypergraph, Sequence[Sequence[int]]], d: DegreeSequence
+    h: Union[Hypergraph, Iterable[Sequence[int]]], d: DegreeSequence
 ) -> CertificateCheck:
     """Check that h is a well-formed hypergraph on [n] with degree vector d.
 
-    Accepts either a validated Hypergraph or raw (untrusted) edge data, as
-    arrives from a certificate file. Never raises on malformed input: the
-    result is falsy and carries a machine-readable reason. Runs in time
-    linear in the number of edges, hence O(n^3).
+    Takes a Hypergraph or raw edges and never raises on malformed input;
+    see verify_edges.
     """
-    n = d.n
-    if isinstance(h, Hypergraph):
-        if h.n != n:
-            return CertificateCheck(False, "ground_set_mismatch")
-        edges: Sequence[Sequence[int]] = h.edges
-    else:
-        edges = h
-    counts = [0] * n
-    prev = None
-    for edge in edges:
-        try:
-            t = _validate_triple(edge, n)
-        except ValueError:
-            return CertificateCheck(False, "malformed_edge")
-        if prev is not None and t <= prev:
-            return CertificateCheck(False, "edges_out_of_order")
-        prev = t
-        counts[t[0]] += 1
-        counts[t[1]] += 1
-        counts[t[2]] += 1
-    if tuple(counts) != d.values:
+    return verify_edges(Hypergraph, h, d)
+
+
+def verify_edges(kind: type, edges: Any, d: DegreeSequence) -> CertificateCheck:
+    """Check edges as a `kind` value (Hypergraph or graph.Graph) with degrees d.
+
+    Accepts either a validated `kind` value, whose degrees are only
+    compared, or raw (untrusted) edge data, as arrives from a certificate
+    file, which its constructor checks. Never raises on malformed input:
+    the result is falsy and carries a machine-readable reason.
+    """
+    try:
+        value = edges if isinstance(edges, kind) else kind(d.n, edges)
+    except EdgeListError as exc:
+        return CertificateCheck(False, exc.reason)
+    if value.n != d.n:
+        return CertificateCheck(False, "ground_set_mismatch")
+    if value.degrees != d.values:
         return CertificateCheck(False, "degree_mismatch")
     return CertificateCheck(True)

@@ -1,22 +1,42 @@
 """The k = 2 case: graphical degree sequences, decided three ways.
 
+hh_realize runs the Havel-Hakimi construction and returns an actual
+realization; the CLI decides k = 2 by it, in `decide` and `graph-check`.
 eg_check evaluates the Erdos-Gallai inequality family in its two-index
-(j, l) form. hh_realize runs the Havel-Hakimi construction and returns an
-actual realization, which doubles as an independent oracle for eg_check.
-graph_bruteforce enumerates every labeled graph on [n] (n <= 7) and is the
-ground truth both are measured against.
+(j, l) form and is the cross-check the CLI asserts. graph_bruteforce
+enumerates every labeled graph on [n] (n <= 7) and is the ground truth
+both are measured against. Graph and verify_graph_certificate check their
+pairs with core.check_edges, the edge-list check of Hypergraph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
-from .core import CertificateCheck, DegreeSequence, InstanceTooLargeError
+from .core import (
+    CertificateCheck,
+    DegreeSequence,
+    InstanceTooLargeError,
+    check_edges,
+    verify_edges,
+)
 
 Pair = tuple[int, int]
+
+
+def _validate_pair(edge: Sequence[int], n: int) -> Pair:
+    try:
+        i, j = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not an index pair") from None
+    if not (isinstance(i, int) and isinstance(j, int)):
+        raise ValueError(f"edge {edge!r} has non-integer indices")
+    if not 0 <= i < j < n:
+        raise ValueError(f"edge ({i}, {j}) invalid for ground set of size {n}")
+    return (i, j)
 
 
 @dataclass(frozen=True)
@@ -25,33 +45,12 @@ class Graph:
 
     n: int
     edges: tuple[Pair, ...] = ()
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"ground-set size must be a nonnegative integer, got {self.n!r}")
-        canon = []
-        prev = None
-        for edge in self.edges:
-            try:
-                i, j = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} is not an index pair") from None
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"edge ({i}, {j}) invalid for ground set of size {self.n}")
-            e = (i, j)
-            if prev is not None and e <= prev:
-                raise ValueError(f"edges not strictly increasing at {e}")
-            canon.append(e)
-            prev = e
-        object.__setattr__(self, "edges", tuple(canon))
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        counts = [0] * self.n
-        for i, j in self.edges:
-            counts[i] += 1
-            counts[j] += 1
-        return tuple(counts)
+        edges, degrees = check_edges(self.edges, self.n, _validate_pair)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degrees", degrees)
 
 
 def eg_check(d: DegreeSequence) -> bool:
@@ -147,22 +146,4 @@ def verify_graph_certificate(
     edges: Sequence[Sequence[int]], d: DegreeSequence
 ) -> CertificateCheck:
     """Check raw pair edges form a simple graph on [n] with degree vector d."""
-    n = d.n
-    counts = [0] * n
-    prev = None
-    for edge in edges:
-        try:
-            i, j = edge
-        except (TypeError, ValueError):
-            return CertificateCheck(False, "malformed_edge")
-        if not (isinstance(i, int) and isinstance(j, int)) or not 0 <= i < j < n:
-            return CertificateCheck(False, "malformed_edge")
-        e = (i, j)
-        if prev is not None and e <= prev:
-            return CertificateCheck(False, "edges_out_of_order")
-        prev = e
-        counts[i] += 1
-        counts[j] += 1
-    if tuple(counts) != d.values:
-        return CertificateCheck(False, "degree_mismatch")
-    return CertificateCheck(True)
+    return verify_edges(Graph, edges, d)

@@ -53,6 +53,7 @@ from typing import Callable, Literal, Sequence, Union
 from .core import (
     CertificateCheck,
     DegreeSequence,
+    EdgeListError,
     Hypergraph,
     InstanceTooLargeError,
     Triple,
@@ -62,6 +63,7 @@ from .core import (
     sign_partition,
     verify_certificate,
 )
+from .graph import Graph
 from .reduction import ThreePartitionInstance, ZeroWeightInstance
 
 DEFAULT_BUDGET = 10_000_000
@@ -79,7 +81,7 @@ class SearchStats:
 @dataclass(frozen=True)
 class DecisionOutcome:
     answer: Answer
-    certificate: Union[Hypergraph, None]
+    certificate: Union[Hypergraph, Graph, None]
     stats: SearchStats
 
 
@@ -265,22 +267,27 @@ def _certificate(
     answer: Answer,
     n: int,
     edges: Union[Sequence[Triple], None],
-    check: Callable[[Sequence[Triple]], CertificateCheck],
+    check: Callable[[Hypergraph], CertificateCheck],
 ) -> Union[Hypergraph, None]:
-    """The engine's YES edges as a Hypergraph, verified before it is built.
+    """The engine's YES edges as a Hypergraph, checked once before use.
 
-    The verifiers never raise on malformed edges, so every fault in the
+    Building the Hypergraph runs the edge-list check, and check then only
+    compares degrees and the instance's own conditions. Every fault in the
     engine's output, malformed triples included, surfaces as RuntimeError
     (exit code 4 in the CLI), never as the ValueError of a bad instance.
     """
     if answer != "YES":
         return None
-    check_result = check(edges)
+    try:
+        h = Hypergraph(n, edges)
+        check_result = check(h)
+    except EdgeListError as exc:
+        check_result = CertificateCheck(False, exc.reason)
     if not check_result:
         raise RuntimeError(
             f"internal error: search returned an invalid certificate ({check_result.reason})"
         )
-    return Hypergraph(n, tuple(edges))
+    return h
 
 
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -332,7 +339,7 @@ def decide_partition(
 
 
 def verify_zero_certificate(
-    edges: Sequence[Sequence[int]], inst: ZeroWeightInstance
+    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ZeroWeightInstance
 ) -> CertificateCheck:
     """Check a zero-weight certificate: well-formed, degrees c, all w.x = 0."""
     base = verify_certificate(edges, inst.c)
@@ -346,7 +353,7 @@ def verify_zero_certificate(
 
 
 def verify_partition_certificate(
-    edges: Sequence[Sequence[int]], inst: ThreePartitionInstance
+    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ThreePartitionInstance
 ) -> CertificateCheck:
     """Check a 3-partition certificate: covers every index once, a-values b."""
     base = verify_certificate(edges, DegreeSequence((1,) * inst.n))

@@ -127,17 +127,24 @@ class TestDecide:
         assert run(capsys, "decide", "--input", str(inst)) == (code, stdout, "")
 
     @pytest.mark.parametrize(
-        "name, stub, says",
-        [("hh_realize", lambda d: None, "NO"), ("eg_check", lambda d: False, "YES")],
-        ids=["hh_realize", "eg_check"],
+        "command, name, stub, says",
+        [
+            ("decide", "hh_realize", lambda d: None, "NO"),
+            ("decide", "eg_check", lambda d: False, "YES"),
+            ("graph-check", "hh_realize", lambda d: None, "NO"),
+            ("graph-check", "eg_check", lambda d: False, "YES"),
+        ],
+        ids=["hh_realize", "eg_check", "graph-check-hh_realize", "graph-check-eg_check"],
     )
-    def test_k2_disagreement_exit_4(self, capsys, monkeypatch, tmp_path, name, stub, says):
+    def test_k2_disagreement_exit_4(
+        self, capsys, monkeypatch, tmp_path, command, name, stub, says
+    ):
         # Havel-Hakimi decides; Erdos-Gallai is a cross-check, and a
         # disagreement is a bug, never a YES without a certificate
         monkeypatch.setattr(hyperdeg.cli, name, stub)
         inst = tmp_path / "k2.json"
         inst.write_text('{"problem":"degseq","k":2,"d":[1,1]}\n')
-        code, out, err = run(capsys, "decide", "--input", str(inst))
+        code, out, err = run(capsys, command, "--input", str(inst))
         assert code == 4
         assert out == ""
         assert err.endswith(f"Havel-Hakimi says {says}, Erdos-Gallai disagrees\n")

@@ -12,6 +12,7 @@ from hyperdeg import (
     eg_check,
     graph_bruteforce,
     hh_realize,
+    verify_certificate,
 )
 from hyperdeg.graph import verify_graph_certificate
 
@@ -115,6 +116,10 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(3, ((1, 1),))
 
+    def test_rejects_non_integer_indices(self):
+        with pytest.raises(ValueError):
+            Graph(3, ((0.0, 1),))
+
     def test_degrees(self):
         g = Graph(4, ((0, 1), (0, 2), (0, 3)))
         assert g.degrees == (3, 1, 1, 1)
@@ -133,3 +138,23 @@ class TestVerifyGraphCertificate:
         check = verify_graph_certificate([(0, 1), (0, 1)], DegreeSequence((2, 2)))
         assert not check
         assert check.reason == "edges_out_of_order"
+
+    @pytest.mark.parametrize(
+        "pairs, triples, reason",
+        [
+            ([(1, 0)], [(0, 2, 1)], "malformed_edge"),
+            ([(0, 4)], [(0, 1, 4)], "malformed_edge"),
+            ([(0.0, 1)], [(0.0, 1, 2)], "malformed_edge"),
+            ([(0, 1, 2)], [(0, 1)], "malformed_edge"),
+            ([(0, 1), (0, 1)], [(0, 1, 2), (0, 1, 2)], "edges_out_of_order"),
+            ([(1, 2), (0, 1)], [(1, 2, 3), (0, 1, 2)], "edges_out_of_order"),
+            ([(0, 1)], [(0, 1, 3)], "degree_mismatch"),
+        ],
+        ids=["descending", "out_of_range", "non_integer", "wrong_arity",
+             "duplicate", "unsorted", "degrees"],
+    )
+    def test_same_reason_as_triples(self, pairs, triples, reason):
+        # one edge-list check serves both arities, so a fault gets one reason
+        d = DegreeSequence((1, 1, 1, 0))
+        assert verify_graph_certificate(pairs, d).reason == reason
+        assert verify_certificate(triples, d).reason == reason
