@@ -1,6 +1,6 @@
 """Record the search engine's exact behaviour as tests/goldens/engine.json.
 
-Three sections, each a list of [inputs..., answer, nodes, edges] rows:
+Five sections, each a list of [inputs..., answer, nodes, edges] rows:
 
 - "search": the raw engine `_search(n, ordered, target, budget)` on small
   random targets (n = 3..6, SplitMix64 seeds 0..399) at budgets 3, 25 and
@@ -11,6 +11,13 @@ Three sections, each a list of [inputs..., answer, nodes, edges] rows:
 - "degseq": `decide_degseq(d, budget=10**7)` on the acceptance corpora of
   criteria 3, 4 and 5 (planted YES, exhaustive small grids plus random
   n = 6, and degseq reduced from 3-partition); edges are the certificate.
+- "partition": `decide_partition(inst, budget)` on the criterion-5 corpus
+  plus `gen_partition(9, 8, s)` and `gen_partition(12, 20, s)` for s < 50,
+  planted and unplanted, at budgets 25 and 10^6; rows carry (a, b).
+- "zero": `decide_zero(inst, budget)` on zero-weight instances drawn like
+  `test_planted_zero_instances` (n = 4..9, w in -3..3, c the degrees of a
+  random subset of S0), every other one with a unit of c moved between two
+  vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
 
 tests/test_solver.py replays every row and demands identical answers,
 certificates and node counts. Rerun this only when a change is meant to
@@ -28,13 +35,20 @@ from pathlib import Path
 
 from hyperdeg import (
     DegreeSequence,
+    Hypergraph,
     SplitMix64,
     ThreePartitionInstance,
+    WeightVector,
+    ZeroWeightInstance,
     decide_degseq,
+    decide_partition,
+    decide_zero,
+    degree_sum,
     enumerate_triples,
     gen_partition,
     gen_planted_degseq,
     reduce_partition_to_degseq,
+    sign_partition,
 )
 from hyperdeg.solver import _ordered_candidates, _search
 
@@ -42,6 +56,7 @@ GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "goldens" / "engine.
 SEARCH_BUDGETS = (3, 25, 10**7)
 SPARSE_BUDGETS = (25, 10**7)
 DEGSEQ_BUDGET = 10**7
+DECIDER_BUDGETS = (25, 10**6)
 
 
 def search_targets():
@@ -82,14 +97,53 @@ def degseq_corpus():
     rng = SplitMix64(640)
     for _ in range(500):
         yield tuple(rng.below(11) for _ in range(6))
+    for inst in criterion5_partitions():
+        yield reduce_partition_to_degseq(inst).degseq.d.values
+
+
+def criterion5_partitions():
+    """The 3-partition corpus of acceptance criterion 5, in test order."""
     partitions = [ThreePartitionInstance(a, sum(a)) for a in product(range(5), repeat=3)]
     partitions += [gen_partition(6, 8, seed=i, planted=(i < 100)) for i in range(200)]
-    for inst in partitions:
-        yield reduce_partition_to_degseq(inst).degseq.d.values
+    return partitions
+
+
+def partition_corpus():
+    """Criterion 5 plus planted and unplanted n = 9 and n = 12 instances."""
+    yield from criterion5_partitions()
+    for n, max_value in ((9, 8), (12, 20)):
+        for s in range(50):
+            for planted in (True, False):
+                yield gen_partition(n, max_value, seed=s, planted=planted)
+
+
+def zero_cases():
+    """(w, c) pairs: the degrees of a random subset of S0, odd seeds perturbed."""
+    for seed in range(300):
+        rng = SplitMix64(20_000 + seed)
+        n = 4 + rng.below(6)
+        w = tuple(rng.below(7) - 3 for _ in range(n))
+        zero_edges = sign_partition(WeightVector(w)).s_zero.edges
+        picked = tuple(e for e in zero_edges if rng.below(2))
+        c = list(degree_sum(Hypergraph(n, picked)).values)
+        # a unit moved between equal weights keeps the promise w.c = 0
+        moves = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and w[u] == w[v] and c[u]]
+        if seed % 2 and moves:
+            u, v = moves[rng.below(len(moves))]
+            c[u] -= 1
+            c[v] += 1
+        yield w, tuple(c)
 
 
 def _edges(edges):
     return None if edges is None else [list(e) for e in edges]
+
+
+def _decided(out):
+    """[answer, nodes, certificate edges] of a DecisionOutcome."""
+    cert = out.certificate.edges if out.certificate is not None else None
+    return [out.answer, out.stats.nodes, _edges(cert)]
 
 
 def record() -> dict:
@@ -109,15 +163,26 @@ def record() -> dict:
     degseq = []
     for d in degseq_corpus():
         out = decide_degseq(DegreeSequence(d), budget=DEGSEQ_BUDGET)
-        cert = out.certificate.edges if out.certificate is not None else None
-        degseq.append([list(d), out.answer, out.stats.nodes, _edges(cert)])
-    return {"search": search, "sparse": sparse, "degseq": degseq}
+        degseq.append([list(d), *_decided(out)])
+    partition = []
+    for inst in partition_corpus():
+        for budget in DECIDER_BUDGETS:
+            out = decide_partition(inst, budget)
+            partition.append([list(inst.a), inst.b, budget, *_decided(out)])
+    zero = []
+    for w, c in zero_cases():
+        inst = ZeroWeightInstance(WeightVector(w), DegreeSequence(c))
+        for budget in DECIDER_BUDGETS:
+            out = decide_zero(inst, budget)
+            zero.append([list(w), list(c), budget, *_decided(out)])
+    return {"search": search, "sparse": sparse, "degseq": degseq,
+            "partition": partition, "zero": zero}
 
 
 def dump(golden: dict) -> str:
     """One row per line, compact JSON inside each row."""
     parts = []
-    for key in ("search", "sparse", "degseq"):
+    for key in ("search", "sparse", "degseq", "partition", "zero"):
         rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in golden[key])
         parts.append(f'"{key}":[\n{rows}\n]')
     return "{" + ",\n".join(parts) + "}\n"

@@ -20,10 +20,9 @@ from .core import (
 from .graph import Graph, eg_check, graph_bruteforce, hh_realize
 from .reduction import (
     DegSeqInstance,
-    PartitionReduction,
     PromiseViolationError,
+    Reduction,
     ThreePartitionInstance,
-    ZeroReduction,
     ZeroWeightInstance,
     lift_certificate,
     map_partition_certificate,

@@ -19,9 +19,7 @@ from .core import DegreeSequence, Int64OverflowError, verify_certificate
 from .graph import eg_check, graph_bruteforce, hh_realize, verify_graph_certificate
 from .reduction import (
     DegSeqInstance,
-    ThreePartitionInstance,
     ZeroWeightInstance,
-    reduce_partition_to_degseq,
     reduce_partition_to_zero,
     reduce_zero_to_degseq,
 )
@@ -113,28 +111,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     inst = _load(args.input, parse_instance)
-    expected = {
-        "three_partition": ThreePartitionInstance,
-        "zero_weight": ZeroWeightInstance,
-    }[args.source]
-    if not isinstance(inst, expected):
+    if instance_document(inst)["problem"] != args.source:
         raise _CliError(f"{args.input} is not a {args.source} instance")
-    if args.source == "three_partition" and args.target == "zero_weight":
-        reduced = reduce_partition_to_zero(inst)
-        _emit(instance_document(reduced))
-        return 0
-    if args.source == "three_partition" and args.target == "degseq":
-        result = reduce_partition_to_degseq(inst)
-        zero = result.zero_weight
-        sp = result.sign_partition
-    elif args.source == "zero_weight" and args.target == "degseq":
-        zero = inst
-        reduced_pair = reduce_zero_to_degseq(inst)
-        result = reduced_pair
-        sp = reduced_pair.sign_partition
-    else:
+    if args.source == args.target:
         raise _CliError(f"unsupported reduction {args.source} -> {args.target}")
-    doc = instance_document(result.degseq)
+    zero = inst if args.source == "zero_weight" else reduce_partition_to_zero(inst)
+    if args.target == "zero_weight":
+        _emit(instance_document(zero))
+        return 0
+    degseq, sp, _ = reduce_zero_to_degseq(zero)
+    doc = instance_document(degseq)
     doc["intermediate"] = {
         "w": list(zero.w.values),
         "c": list(zero.c.values),

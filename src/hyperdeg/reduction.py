@@ -16,6 +16,8 @@ transfer unchanged. Step (2) -> (3) sets d := c + degree_sum(S+), where
 S-/S0/S+ is the sign partition of w. Certificates lift by H := G | S+ and
 project by G := H & S0; any H realizing the reduced d is forced to contain
 all of S+ and avoid all of S-, which project_certificate checks loudly.
+Both reductions to (3) return one Reduction (degseq, sign_partition,
+zero_weight), and 3-partition -> (3) is (2) -> (3) after (1) -> (2).
 
 Promise violations (3 * sum(a) != n * b, w.c != 0) are malformed inputs,
 rejected at instance construction, never NO answers.
@@ -112,12 +114,9 @@ class DegSeqInstance:
         return self.d.n
 
 
-class ZeroReduction(NamedTuple):
-    degseq: DegSeqInstance
-    sign_partition: SignPartition
+class Reduction(NamedTuple):
+    """A reduced realizability instance with the data that maps certificates."""
 
-
-class PartitionReduction(NamedTuple):
     degseq: DegSeqInstance
     sign_partition: SignPartition
     zero_weight: ZeroWeightInstance
@@ -166,12 +165,12 @@ def map_partition_certificate(
     return f
 
 
-def reduce_zero_to_degseq(inst: ZeroWeightInstance) -> ZeroReduction:
+def reduce_zero_to_degseq(inst: ZeroWeightInstance) -> Reduction:
     """Map (w, c) to the realizability target d = c + degree_sum(S+).
 
-    Returns the sign partition of w alongside the reduced instance; the
-    certificate maps need exactly this partition and it costs O(n^3) to
-    recompute.
+    Returns the sign partition of w and inst itself alongside the reduced
+    instance; the certificate maps need exactly this partition and it costs
+    O(n^3) to recompute.
     """
     sp = sign_partition(inst.w)
     plus_degrees = degree_sum(sp.s_plus)
@@ -181,7 +180,7 @@ def reduce_zero_to_degseq(inst: ZeroWeightInstance) -> ZeroReduction:
             for ci, pi in zip(inst.c.values, plus_degrees.values)
         )
     )
-    return ZeroReduction(degseq=DegSeqInstance(d=d, k=3), sign_partition=sp)
+    return Reduction(degseq=DegSeqInstance(d=d, k=3), sign_partition=sp, zero_weight=inst)
 
 
 def lift_certificate(g: Hypergraph, sp: SignPartition) -> Hypergraph:
@@ -227,17 +226,6 @@ def project_certificate(h: Hypergraph, sp: SignPartition) -> Hypergraph:
     return Hypergraph(h.n, tuple(e for e in h.edges if e in zero))
 
 
-def reduce_partition_to_degseq(inst: ThreePartitionInstance) -> PartitionReduction:
-    """Compose the two reductions, keeping all intermediate data.
-
-    Equals reduce_zero_to_degseq(reduce_partition_to_zero(inst)); the
-    zero-weight instance and sign partition are returned so a 3-partition
-    witness can be traced to a hypergraph certificate and back.
-    """
-    zero_inst = reduce_partition_to_zero(inst)
-    reduced = reduce_zero_to_degseq(zero_inst)
-    return PartitionReduction(
-        degseq=reduced.degseq,
-        sign_partition=reduced.sign_partition,
-        zero_weight=zero_inst,
-    )
+def reduce_partition_to_degseq(inst: ThreePartitionInstance) -> Reduction:
+    """Compose the two reductions; zero_weight is the intermediate (w, c)."""
+    return reduce_zero_to_degseq(reduce_partition_to_zero(inst))

@@ -1,6 +1,8 @@
 """Exact deciders with certificates for the three decision problems.
 
-One search engine serves all three: depth-first include/exclude
+decide_partition decides through reduction (1) -> (2) (reduction.py), so
+two deciders remain, decide_degseq on all triples and decide_zero on the
+zero-weight ones. One search engine serves both: depth-first include/exclude
 branching, include tried first. Each node branches through the vertex of
 largest residual demand (lowest index on ties), the rule Havel-Hakimi uses
 for graphs (graph.hh_realize), and takes that vertex's candidates in a
@@ -60,11 +62,10 @@ from .core import (
     checked_sum,
     enumerate_triples,
     i64,
-    sign_partition,
     verify_certificate,
 )
 from .graph import Graph
-from .reduction import ThreePartitionInstance, ZeroWeightInstance
+from .reduction import ThreePartitionInstance, ZeroWeightInstance, reduce_partition_to_zero
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -223,8 +224,6 @@ def _run_search(
     when t asks for more than half the candidates the engine runs on the
     complement target and the chosen set is flipped back afterwards.
     """
-    if not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     budget = min(budget, 1 << 62)
     target = tuple(target)
     cand_deg = [0] * n
@@ -290,9 +289,16 @@ def _certificate(
     return h
 
 
+def _check_budget(budget: int) -> None:
+    """Reject a bad budget before any answer, even one the prefilter knows."""
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+
+
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether d is the degree sequence of a 3-hypergraph on [n]."""
     started = perf_counter()
+    _check_budget(budget)
     if prefilter_degseq(d) is not None:
         return _outcome("NO", None, 0, budget, started)
     answer, edges, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
@@ -303,11 +309,18 @@ def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOu
 def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether some G inside the zero-weight triples has degrees c.
 
-    Same engine as decide_degseq, restricted to the S0 candidate list.
+    Same engine as decide_degseq, restricted to the triples x with w.x = 0
+    (the S0 part of the sign partition, without building the other two).
     """
     started = perf_counter()
-    sp = sign_partition(inst.w)
-    answer, edges, nodes = _run_search(inst.n, sp.s_zero.edges, inst.c.values, budget)
+    _check_budget(budget)
+    w = inst.w.values
+    candidates = [
+        x
+        for x in enumerate_triples(inst.n)
+        if i64(w[x[0]] + w[x[1]] + w[x[2]], "weighted value") == 0
+    ]
+    answer, edges, nodes = _run_search(inst.n, candidates, inst.c.values, budget)
     certificate = _certificate(answer, inst.n, edges, lambda e: verify_zero_certificate(e, inst))
     return _outcome(answer, certificate, nodes, budget, started)
 
@@ -315,27 +328,13 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
 def decide_partition(
     inst: ThreePartitionInstance, budget: int = DEFAULT_BUDGET
 ) -> DecisionOutcome:
-    """Decide 3-partition: cover every index once by triples of a-value b.
+    """Decide 3-partition as decide_zero on its reduction (1) -> (2).
 
-    Immediately NO when n is not divisible by 3 (a perfect triple cover
-    needs 3 | n); otherwise the engine runs on the value-b triples with the
-    all-ones target.
+    w.x = 3(a.x - b) makes the feasible triples and certificates the same;
+    when 3 does not divide n, the all-ones target total is not divisible by
+    3 either, so the engine answers NO at 0 nodes.
     """
-    started = perf_counter()
-    if inst.n % 3:
-        return _outcome("NO", None, 0, budget, started)
-    a = inst.a
-    b = inst.b
-    candidates = [
-        x
-        for x in enumerate_triples(inst.n)
-        if i64(a[x[0]] + a[x[1]] + a[x[2]], "a.x") == b
-    ]
-    answer, edges, nodes = _run_search(inst.n, candidates, (1,) * inst.n, budget)
-    certificate = _certificate(
-        answer, inst.n, edges, lambda e: verify_partition_certificate(e, inst)
-    )
-    return _outcome(answer, certificate, nodes, budget, started)
+    return decide_zero(reduce_partition_to_zero(inst), budget)
 
 
 def verify_zero_certificate(

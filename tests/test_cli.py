@@ -149,6 +149,22 @@ class TestDecide:
         assert out == ""
         assert err.endswith(f"Havel-Hakimi says {says}, Erdos-Gallai disagrees\n")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"problem":"degseq","k":3,"d":[2,2,2]}',
+            '{"problem":"three_partition","a":[1,1,1,1],"b":3}',
+            '{"problem":"degseq","k":3,"d":[1,1,1]}',
+        ],
+        ids=["prefilter-no", "partition-n-not-divisible-by-3", "search"],
+    )
+    def test_negative_budget_exit_2(self, capsys, tmp_path, doc):
+        # the budget is checked before any answer, not only when a search runs
+        inst = tmp_path / "inst.json"
+        inst.write_text(doc)
+        code, out, err = run(capsys, "decide", "--input", str(inst), "--budget", "-5")
+        assert (code, out, err) == (2, "", "error: budget must be a nonnegative integer, got -5\n")
+
     def test_k_mismatch_exit_2(self, capsys):
         code, out, err = run(
             capsys, "decide", "--input", str(GOLDENS / "degseq_yes.json"), "--k", "2"
@@ -215,6 +231,8 @@ class TestReduce:
         )
         assert code == 0
         assert doc["d"] == [5, 2, 2, 4]
+        assert doc["intermediate"]["w"] == [-1, -1, -1, 3]
+        assert doc["intermediate"]["c"] == [3, 0, 0, 1]
         assert doc["intermediate"]["sign_sizes"] == {"minus": 1, "zero": 0, "plus": 3}
 
     def test_reduce_output_feeds_decide(self, capsys, tmp_path):

@@ -135,6 +135,10 @@ class TestReduceZeroToDegseq:
         assert degree_sum(reduced.sign_partition.s_plus).values == (2, 2, 2, 3)
         assert reduced.degseq.d.values == (5, 2, 2, 4)
 
+    def test_zero_weight_is_the_input(self):
+        inst = ZeroWeightInstance(WeightVector((1, -1, 2, -2)), DegreeSequence((2, 2, 1, 1)))
+        assert reduce_zero_to_degseq(inst).zero_weight == inst
+
 
 class TestCertificateLiftProject:
     def test_lift_empty(self):
@@ -224,8 +228,7 @@ class TestComposedReduction:
         composed = reduce_partition_to_degseq(inst)
         zero = reduce_partition_to_zero(inst)
         two_step = reduce_zero_to_degseq(zero)
-        assert composed.degseq == two_step.degseq
-        assert composed.sign_partition == two_step.sign_partition
+        assert composed == two_step
         assert composed.zero_weight == zero
 
 

@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, expect",
+    [
+        ("equivalence_experiment.py", ["--count", "6", "--n", "6"], "disagreements 0"),
+        ("bench_engine.py", ["--sizes", "6", "--per-size", "5"], "instances"),
+    ],
+)
+def test_script_runs(script, args, expect):
+    # the scripts call the library directly, so a renamed function or field
+    # shows up here rather than at the next manual run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout

@@ -166,6 +166,24 @@ class TestDecidePartition:
         assert out.stats.nodes == 0
 
 
+class TestBudgetCheck:
+    @pytest.mark.parametrize(
+        "decide, inst",
+        [
+            (decide_degseq, DegreeSequence((2, 2, 2))),
+            (decide_degseq, DegreeSequence((1, 1, 1))),
+            (decide_zero, ZeroWeightInstance(WeightVector((0, 0, 0)), DegreeSequence((1, 1, 1)))),
+            (decide_partition, ThreePartitionInstance((1, 1, 1, 1), 3)),
+            (decide_partition, ThreePartitionInstance((1, 1, 1), 3)),
+        ],
+        ids=["prefilter-no", "degseq", "zero", "partition-n-not-divisible-by-3", "partition"],
+    )
+    @pytest.mark.parametrize("budget", [-1, 2.5, "10"])
+    def test_rejected_before_any_answer(self, decide, inst, budget):
+        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            decide(inst, budget=budget)
+
+
 class TestBruteforceOracles:
     def test_degseq_examples(self):
         assert bruteforce_degseq(DegreeSequence((1, 1, 1)))
@@ -232,13 +250,22 @@ class TestEngineGolden:
     The golden was recorded from the largest-residual engine, which branches
     through the vertex of highest residual demand; any change to a node
     count is a behaviour change and must regenerate it on purpose
-    (scripts/engine_golden.py).
+    (scripts/engine_golden.py). The partition and zero rows were recorded
+    while decide_partition still filtered a.x == b itself and decide_zero
+    took S0 from the sign partition, so they pin that deciding 3-partition
+    through its zero-weight reduction changed no answer, certificate or
+    node count.
     """
 
     @staticmethod
     def _row(result):
         answer, edges, nodes = result
         return [answer, nodes, None if edges is None else [list(e) for e in edges]]
+
+    @classmethod
+    def _decided(cls, out):
+        cert = None if out.certificate is None else out.certificate.edges
+        return cls._row((out.answer, cert, out.stats.nodes))
 
     def test_search_rows(self):
         for n, target, budget, *want in ENGINE_GOLDEN["search"]:
@@ -255,8 +282,17 @@ class TestEngineGolden:
     def test_degseq_rows(self):
         for d, *want in ENGINE_GOLDEN["degseq"]:
             out = decide_degseq(DegreeSequence(tuple(d)), budget=10**7)
-            cert = None if out.certificate is None else out.certificate.edges
-            assert self._row((out.answer, cert, out.stats.nodes)) == want, d
+            assert self._decided(out) == want, d
+
+    def test_partition_rows(self):
+        for a, b, budget, *want in ENGINE_GOLDEN["partition"]:
+            out = decide_partition(ThreePartitionInstance(tuple(a), b), budget)
+            assert self._decided(out) == want, (a, b, budget)
+
+    def test_zero_rows(self):
+        for w, c, budget, *want in ENGINE_GOLDEN["zero"]:
+            inst = ZeroWeightInstance(WeightVector(tuple(w)), DegreeSequence(tuple(c)))
+            assert self._decided(decide_zero(inst, budget)) == want, (w, c, budget)
 
     def test_zero_budget(self):
         assert _search(4, enumerate_triples(4), (1, 1, 1, 0), 0) == ("UNKNOWN", None, 0)
