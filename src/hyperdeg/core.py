@@ -8,6 +8,9 @@ edge is recoverable as the indicator vector of {i, j, k}.
 check_edges is the one edge-list check, for these triples and for the
 pairs of graph.Graph; both types and every certificate verifier use it.
 
+check_int is the one rule for every integer the library accepts (check_ints
+for a vector, in one pass); the edge parsers inline its type test.
+
 Every aggregate value carries its ground-set size n and operations reject
 operands that disagree on n. All integer arithmetic is checked against the
 signed 64-bit range: a result outside [-2^63, 2^63 - 1] raises
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -60,6 +63,29 @@ def i64(value: int, what: str = "value") -> int:
     return value
 
 
+def check_int(value: Any, what: str, nonnegative: bool = False) -> int:
+    """Return value if it is an int, not a bool, inside i64 (and >= 0 if nonnegative).
+
+    ValueError for another type or a negative value, else Int64OverflowError.
+    """
+    if type(value) is not int or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return i64(value, what)
+
+
+def check_ints(values: Iterable[Any], what: str, nonnegative: bool = False) -> tuple[int, ...]:
+    """check_int on every entry, in one pass; a failure names what[index]."""
+    vals = tuple(values)
+    lo = 0 if nonnegative else I64_MIN
+    for x in vals:
+        if type(x) is not int or not lo <= x <= I64_MAX:
+            # only now build the labels: the rescan raises at the first bad entry
+            for v, y in enumerate(vals):
+                check_int(y, f"{what}[{v}]", nonnegative)
+    return vals
+
+
 def checked_sum(values: Iterable[int], what: str = "sum") -> int:
     """Sum with every partial sum checked against the i64 range."""
     total = 0
@@ -85,7 +111,7 @@ def _validate_triple(edge: Sequence[int], n: int) -> Triple:
         i, j, k = edge
     except (TypeError, ValueError):
         raise ValueError(f"edge {edge!r} is not an index triple") from None
-    if not (isinstance(i, int) and isinstance(j, int) and isinstance(k, int)):
+    if not (type(i) is int and type(j) is int and type(k) is int):
         raise ValueError(f"edge {edge!r} has non-integer indices")
     if not 0 <= i < j < k < n:
         raise ValueError(f"edge ({i}, {j}, {k}) invalid for ground set of size {n}")
@@ -101,8 +127,7 @@ def check_edges(
     ValueError. Raises EdgeListError with reason "malformed_edge" or
     "edges_out_of_order".
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"ground-set size must be a nonnegative integer, got {n!r}")
+    check_int(n, "ground-set size", nonnegative=True)
     canon = []
     counts = [0] * n
     prev = None
@@ -146,19 +171,18 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class DegreeSequence:
-    """Nonnegative integer vector of length n; entry v counts edges at v."""
+class _IntVector:
+    """An integer vector of length n, checked by check_ints in one pass.
+
+    Subclasses set only its label and floor; equality compares the class.
+    """
 
     values: tuple[int, ...]
+    _label: ClassVar[str]
+    _nonnegative: ClassVar[bool]
 
     def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        for v, x in enumerate(vals):
-            if not isinstance(x, int):
-                raise ValueError(f"degree at index {v} is not an integer: {x!r}")
-            if x < 0:
-                raise ValueError(f"degree at index {v} is negative: {x}")
-            i64(x, f"degree at index {v}")
+        vals = check_ints(self.values, self._label, self._nonnegative)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -175,29 +199,18 @@ class DegreeSequence:
         return self.values[v]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class DegreeSequence(_IntVector):
+    """Nonnegative integer vector of length n; entry v counts edges at v."""
+
+    _label = "degree"
+    _nonnegative = True
+
+
+class WeightVector(_IntVector):
     """Signed integer vector of length n, entries within the i64 range."""
 
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        for v, x in enumerate(vals):
-            if not isinstance(x, int):
-                raise ValueError(f"weight at index {v} is not an integer: {x!r}")
-            i64(x, f"weight at index {v}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
+    _label = "weight"
+    _nonnegative = False
 
 
 @dataclass(frozen=True)
@@ -230,8 +243,7 @@ class CertificateCheck:
 
 def enumerate_triples(n: int) -> list[Triple]:
     """All C(n, 3) triples of [n] in lexicographic order (empty for n < 3)."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"ground-set size must be a nonnegative integer, got {n!r}")
+    check_int(n, "ground-set size", nonnegative=True)
     return list(itertools.combinations(range(n), 3))
 
 

@@ -32,7 +32,7 @@ def _validate_pair(edge: Sequence[int], n: int) -> Pair:
         i, j = edge
     except (TypeError, ValueError):
         raise ValueError(f"edge {edge!r} is not an index pair") from None
-    if not (isinstance(i, int) and isinstance(j, int)):
+    if not (type(i) is int and type(j) is int):
         raise ValueError(f"edge {edge!r} has non-integer indices")
     if not 0 <= i < j < n:
         raise ValueError(f"edge ({i}, {j}) invalid for ground set of size {n}")
@@ -92,17 +92,15 @@ def hh_realize(d: DegreeSequence) -> Union[Graph, None]:
     n = len(r)
     edges: list[Pair] = []
     while True:
-        v = 0
-        best = r[0] if n else 0
-        for u in range(1, n):
-            if r[u] > best:
-                best = r[u]
-                v = u
-        if n == 0 or best == 0:
+        # one sort per round into (-r[u], u) order (a stable reverse sort keeps
+        # ties by index); its head is v and the rest rank v's targets
+        order = sorted([u for u in range(n) if r[u]], key=r.__getitem__, reverse=True)
+        if not order:
             break
+        v = order[0]
         need = r[v]
         r[v] = 0
-        targets = sorted((u for u in range(n) if u != v and r[u] > 0), key=lambda u: (-r[u], u))
+        targets = order[1:]
         if len(targets) < need:
             return None
         for u in targets[:need]:

@@ -59,6 +59,7 @@ from .core import (
     Hypergraph,
     InstanceTooLargeError,
     Triple,
+    check_int,
     checked_sum,
     enumerate_triples,
     i64,
@@ -289,16 +290,10 @@ def _certificate(
     return h
 
 
-def _check_budget(budget: int) -> None:
-    """Reject a bad budget before any answer, even one the prefilter knows."""
-    if not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
-
-
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether d is the degree sequence of a 3-hypergraph on [n]."""
     started = perf_counter()
-    _check_budget(budget)
+    check_int(budget, "budget", nonnegative=True)  # before any answer, the prefilter's too
     if prefilter_degseq(d) is not None:
         return _outcome("NO", None, 0, budget, started)
     answer, edges, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
@@ -313,7 +308,7 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
     (the S0 part of the sign partition, without building the other two).
     """
     started = perf_counter()
-    _check_budget(budget)
+    check_int(budget, "budget", nonnegative=True)  # before any answer
     w = inst.w.values
     candidates = [
         x

@@ -37,7 +37,9 @@ from .core import (
     DegreeSequence,
     GroundSetMismatchError,
     Hypergraph,
+    Int64OverflowError,
     WeightVector,
+    check_int,
     degree_sum,
     enumerate_triples,
 )
@@ -167,11 +169,10 @@ def gen_partition(
 
 
 def _require_int(value: Any, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"field '{field}' must be an integer, got {value!r}", field)
-    if not -(1 << 63) <= value < (1 << 63):
-        raise ParseError(f"field '{field}' is outside the signed 64-bit range", field)
-    return value
+    try:
+        return check_int(value, f"field '{field}'")
+    except (ValueError, Int64OverflowError) as exc:
+        raise ParseError(str(exc), field) from None
 
 
 def _require_int_list(value: Any, field: str) -> tuple[int, ...]:

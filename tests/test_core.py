@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from hyperdeg import (
     DegreeSequence,
+    DegSeqInstance,
     GroundSetMismatchError,
     Hypergraph,
     Int64OverflowError,
     SignPartition,
+    ThreePartitionInstance,
     WeightVector,
+    ZeroWeightInstance,
+    decide_degseq,
+    decide_zero,
     degree_sum,
     enumerate_triples,
     sign_partition,
     verify_certificate,
     weighted_value,
 )
-from hyperdeg.core import I64_MAX, I64_MIN, checked_dot, checked_sum, i64
+from hyperdeg.core import I64_MAX, I64_MIN, EdgeListError, checked_dot, checked_sum, i64
+from hyperdeg.graph import Graph
 
 from conftest import all_triples, hypergraphs, weight_vectors
 
@@ -150,6 +156,11 @@ class TestVerifyCertificate:
         assert not check
         assert check.reason == "malformed_edge"
 
+    def test_bool_indices_malformed(self):
+        check = verify_certificate([[False, True, 2]], DegreeSequence((1, 1, 1)))
+        assert not check
+        assert check.reason == "malformed_edge"
+
     def test_ground_set_mismatch(self):
         check = verify_certificate(Hypergraph(4, ()), DegreeSequence((0, 0, 0)))
         assert not check
@@ -202,6 +213,55 @@ class TestValueTypes:
         h = Hypergraph(3, ((0, 1, 2),))
         with pytest.raises(FrozenInstanceError):
             h.n = 5
+
+
+_ZERO = ZeroWeightInstance(WeightVector((1, -1)), DegreeSequence((1, 1)))
+
+# Each entry point places the bad value where its integer value would be
+# accepted (a bool as 0 or 1), so only the integer rule can reject it.
+_ENTRY_POINTS = {
+    "DegreeSequence": (lambda x: DegreeSequence((1, x, 1)), True),
+    "WeightVector": (lambda x: WeightVector((1, x, -1)), False),
+    "ThreePartitionInstance.a": (lambda x: ThreePartitionInstance((x,), 3 * x), True),
+    "ThreePartitionInstance.b": (lambda x: ThreePartitionInstance((), x), True),
+    "DegSeqInstance.k": (lambda x: DegSeqInstance(DegreeSequence((1, 1, 1)), x), False),
+    "Hypergraph.n": (lambda x: Hypergraph(x, ()), True),
+    "Hypergraph.index": (lambda x: Hypergraph(7, ((x, 5, 6),)), True),
+    "Graph.n": (lambda x: Graph(x, ()), True),
+    "Graph.index": (lambda x: Graph(7, ((x, 6),)), True),
+    "enumerate_triples": (lambda x: enumerate_triples(x), True),
+    "decide_degseq.budget": (lambda x: decide_degseq(DegreeSequence((1, 1, 1)), budget=x), True),
+    "decide_zero.budget": (lambda x: decide_zero(_ZERO, budget=x), True),
+}
+
+
+def _integer_rule_rows():
+    for name, (_, floored) in _ENTRY_POINTS.items():
+        for bad in (True, False, 2.0, 1 << 63) + ((-1,) if floored else ()):
+            if name.endswith(".index"):
+                expected = EdgeListError  # an edge parser's rejection
+            elif bad == 1 << 63 and name != "DegSeqInstance.k":
+                expected = Int64OverflowError
+            else:
+                expected = ValueError  # k = 2^63 already failed k in {2, 3}
+            yield pytest.param(name, bad, expected, id=f"{name}-{bad!r}")
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("entry,bad,expected", _integer_rule_rows())
+    def test_rejects(self, entry, bad, expected):
+        build, _ = _ENTRY_POINTS[entry]
+        with pytest.raises(expected) as err:
+            build(bad)
+        assert err.type is expected
+
+    def test_floor_and_i64_bounds_accepted(self):
+        assert DegreeSequence((0, I64_MAX)).values == (0, I64_MAX)
+        assert ThreePartitionInstance((), I64_MAX).b == I64_MAX
+
+    def test_failure_names_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"degree\[2\] must be a nonnegative integer"):
+            DegreeSequence((0, 1, True, -1))
 
 
 class TestCheckedArithmetic:

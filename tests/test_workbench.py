@@ -198,6 +198,29 @@ class TestSerializeRoundTrip:
         inst = ZeroWeightInstance(WeightVector((2, -1, 0)), DegreeSequence((1, 2, 5)))
         assert parse_instance(serialize_instance(inst)) == inst
 
+    # integers around both i64 edges, bools and floats: what a caller might pass
+    ENTRIES = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([1 << 63, (1 << 63) - 1, -(1 << 63), -(1 << 63) - 1]),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+    @given(st.lists(ENTRIES, max_size=6), st.lists(ENTRIES, min_size=3, max_size=3))
+    def test_accepted_vectors_serialize_canonically(self, xs, a):
+        builders = (
+            lambda: DegSeqInstance(DegreeSequence(xs)),
+            lambda: ZeroWeightInstance(WeightVector(xs), DegreeSequence((0,) * len(xs))),
+            lambda: ThreePartitionInstance(tuple(a), sum(a)),  # n = 3: 3 * sum(a) = n * b
+        )
+        for build in builders:
+            try:
+                inst = build()
+            except (ValueError, OverflowError):
+                continue
+            text = serialize_instance(inst)
+            assert serialize_instance(parse_instance(text)) == text
+
 
 class TestCertificates:
     def test_round_trip(self):
