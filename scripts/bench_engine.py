@@ -28,6 +28,7 @@ def main() -> None:
 
     print(f"{'n':>3} {'instances':>9} {'med nodes':>10} {'p90 nodes':>10} "
           f"{'max nodes':>10} {'total s':>8} {'unknown':>7}")
+    total_unknown = 0
     for n in args.sizes:
         meta = SplitMix64(args.seed + n)
         nodes = []
@@ -44,6 +45,8 @@ def main() -> None:
         p90 = quantiles(nodes, n=10)[-1] if len(nodes) >= 10 else max(nodes)
         print(f"{n:>3} {len(nodes):>9} {int(median(nodes)):>10} {int(p90):>10} "
               f"{max(nodes):>10} {elapsed:>8.2f} {unknown:>7}")
+        total_unknown += unknown
+    print(f"unknown {total_unknown}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Record the search engine's exact behaviour as tests/goldens/engine.json.
 
-Five sections, each a list of [inputs..., answer, nodes, edges] rows:
+Six sections, each a list of [inputs..., answer, nodes, edges] rows (a
+polytope row adds the separator):
 
 - "search": the raw engine `_search(n, ordered, target, budget)` on small
   random targets (n = 3..6, SplitMix64 seeds 0..399) at budgets 3, 25 and
@@ -18,6 +19,14 @@ Five sections, each a list of [inputs..., answer, nodes, edges] rows:
   `test_planted_zero_instances` (n = 4..9, w in -3..3, c the degrees of a
   random subset of S0), every other one with a unit of c moved between two
   vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
+- "polytope": `decide_degseq(d, budget)` on d reduced from
+  `gen_partition(12, 20, s)`, s < 50, planted and unplanted, at budgets
+  2000 and 10^6: the instances that outlast the search's allowance and
+  reach the polytope layer. Nodes count its pivots; the row ends with the
+  certificate edges and the NO separator, each null when absent.
+
+The rows of the first five sections all decide within 411 nodes, below the
+search's allowance, so the polytope layer never runs on them.
 
 tests/test_solver.py replays every row and demands identical answers,
 certificates and node counts. Rerun this only when a change is meant to
@@ -57,6 +66,7 @@ SEARCH_BUDGETS = (3, 25, 10**7)
 SPARSE_BUDGETS = (25, 10**7)
 DEGSEQ_BUDGET = 10**7
 DECIDER_BUDGETS = (25, 10**6)
+POLYTOPE_BUDGETS = (2000, 10**6)
 
 
 def search_targets():
@@ -136,6 +146,13 @@ def zero_cases():
         yield w, tuple(c)
 
 
+def polytope_corpus():
+    """Degree sequences reduced from n = 12 instances, planted and unplanted."""
+    for s in range(50):
+        for planted in (True, False):
+            yield reduce_partition_to_degseq(gen_partition(12, 20, s, planted=planted)).degseq.d
+
+
 def _edges(edges):
     return None if edges is None else [list(e) for e in edges]
 
@@ -175,14 +192,20 @@ def record() -> dict:
         for budget in DECIDER_BUDGETS:
             out = decide_zero(inst, budget)
             zero.append([list(w), list(c), budget, *_decided(out)])
+    polytope = []
+    for d in polytope_corpus():
+        for budget in POLYTOPE_BUDGETS:
+            out = decide_degseq(d, budget)
+            sep = None if out.separator is None else list(out.separator)
+            polytope.append([list(d.values), budget, *_decided(out), sep])
     return {"search": search, "sparse": sparse, "degseq": degseq,
-            "partition": partition, "zero": zero}
+            "partition": partition, "zero": zero, "polytope": polytope}
 
 
 def dump(golden: dict) -> str:
     """One row per line, compact JSON inside each row."""
     parts = []
-    for key in ("search", "sparse", "degseq", "partition", "zero"):
+    for key in ("search", "sparse", "degseq", "partition", "zero", "polytope"):
         rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in golden[key])
         parts.append(f'"{key}":[\n{rows}\n]')
     return "{" + ",\n".join(parts) + "}\n"

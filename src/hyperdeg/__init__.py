@@ -15,6 +15,7 @@ from .core import (
     enumerate_triples,
     sign_partition,
     verify_certificate,
+    verify_separator,
     weighted_value,
 )
 from .graph import Graph, eg_check, graph_bruteforce, hh_realize

@@ -297,6 +297,37 @@ def verify_certificate(
     return verify_edges(Hypergraph, h, d)
 
 
+def verify_separator(
+    y: Sequence[Any], target: Sequence[int], candidates: Iterable[Triple]
+) -> CertificateCheck:
+    """Check that the integer vector y proves target unreachable from candidates.
+
+    Every subset H of the candidates has y.degrees(H) = sum_{e in H} y(e)
+    <= sum_e max(0, y(e)), where y(e) = y_i + y_j + y_k, so
+    y.target > sum_e max(0, y(e)) shows that no subset has degrees target.
+    Exact integer arithmetic, checked against i64: y must be an integer
+    vector of target's length with every |y_v| <= I64_MAX // 3 (so every
+    y(e) fits), and both sides must fit. Never raises; the reason is
+    "malformed_separator", "overflow" or "not_separating".
+    """
+    try:
+        vals = check_ints(y, "separator")
+    except (ValueError, Int64OverflowError):
+        return CertificateCheck(False, "malformed_separator")
+    if len(vals) != len(target) or any(3 * abs(v) > I64_MAX for v in vals):
+        return CertificateCheck(False, "malformed_separator")
+    try:
+        lhs = checked_dot(vals, target, "separator value")
+        # every term is nonnegative, so checking the total checks each partial sum
+        scores = [vals[i] + vals[j] + vals[k] for i, j, k in candidates]
+        rhs = i64(sum(s for s in scores if s > 0), "separator bound")
+    except Int64OverflowError:
+        return CertificateCheck(False, "overflow")
+    if lhs <= rhs:
+        return CertificateCheck(False, "not_separating")
+    return CertificateCheck(True)
+
+
 def verify_edges(kind: type, edges: Any, d: DegreeSequence) -> CertificateCheck:
     """Check edges as a `kind` value (Hypergraph or graph.Graph) with degrees d.
 

@@ -1,0 +1,182 @@
+"""The degree polytope {Mx = t, 0 <= x <= 1}, by a float phase-1 simplex.
+
+M is the vertex-by-candidate incidence matrix: column e is the indicator
+of the triple e, so an integer point of the polytope is a subset of the
+candidates with degree vector t. solver._run_search calls solve once,
+after its plain search has spent a fixed node allowance, and uses the
+answer in one of two ways:
+
+- infeasible: the duals y of the phase-1 optimum satisfy
+  y.t > sum_e max(0, y(e)), with y(e) = y_i + y_j + y_k (Farkas' lemma
+  for the box), and no subset of the candidates has degrees t. separator
+  scales y to integers and rounds; only core.verify_separator, an exact
+  integer test, may turn the result into a NO. An uncertified float dual
+  never decides anything.
+- otherwise: the final point x* (a vertex when feasible, with at most n
+  fractional coordinates) ranks the candidates by -x*_e, and the search
+  restarts in that order, so its first dive follows an almost integral
+  solution.
+
+The simplex is the revised bounded one, over an explicit n x n basis
+inverse, with duals updated per pivot and the entering column the most
+attractive of a pool (the attractive columns of the last full pricing
+pass, which runs only when the pool holds none). Every column has three
+ones, so a reduced cost is three additions. It starts from the engine's
+own first dive: those candidates start at their upper bound, and one
+artificial per vertex, basic, carries the residual degree. Phase 1
+minimizes a weighted sum of the artificials: weight 1 where the dive left
+demand, 1/2 where it saturated the vertex, so that pricing first tries
+the triples that can move rather than the degenerate ones. Any positive
+weights make a zero optimum mean feasible and keep every dual a Farkas
+direction, and so does dropping an artificial for good once it leaves
+the basis. Each iteration, a bound flip or a basis change, counts as one
+pivot; the caller charges pivots to its node budget, and solve stops at
+max_pivots or at two pivots per row and column, whichever comes first.
+
+The arithmetic is float and unchecked on purpose: nothing here is trusted.
+"""
+
+from __future__ import annotations
+
+from math import isfinite
+from typing import NamedTuple, Sequence, Union
+
+from .core import Triple
+
+# reduced costs and ratio-test pivots below this are treated as zero
+_EPS = 1e-9
+# phase 1 is done once every artificial is at most this
+_FEASIBLE = 1e-6
+# separator scales the duals by at most this, and calls a scaled dual an
+# integer when it is this close to one
+_MAX_SCALE = 64
+_INTEGRAL = 1e-6
+# solve stops after this many pivots per row and column, whatever the budget
+_PIVOTS_PER_VARIABLE = 2
+
+
+class LPResult(NamedTuple):
+    status: str  # "feasible", "infeasible", or "stopped" at max_pivots
+    x: list[float]  # the final point, one value per candidate
+    duals: list[float]  # one per vertex: the Farkas direction when infeasible
+    pivots: int
+
+
+def solve(
+    n: int,
+    candidates: Sequence[Triple],
+    target: Sequence[int],
+    start: Sequence[int],
+    max_pivots: int,
+) -> LPResult:
+    """Phase 1 on {Mx = target, 0 <= x <= 1}, from x = indicator of start.
+
+    start lists candidate positions whose triples together have degrees at
+    most target (an include path of the engine). Stops after max_pivots.
+    """
+    m = len(candidates)
+    max_pivots = min(max_pivots, _PIVOTS_PER_VARIABLE * (m + n))
+    # sign[p]: +1 nonbasic at 0, -1 nonbasic at 1, 0 basic; a column is
+    # attractive when sign[p] * (y_i + y_j + y_k) is positive
+    sign = [1.0] * m
+    resid = list(target)
+    for p in start:
+        sign[p] = -1.0
+        i, j, k = candidates[p]
+        resid[i] -= 1
+        resid[j] -= 1
+        resid[k] -= 1
+    head = [-1] * n  # the candidate basic in each row; -1 for its artificial
+    xb = [float(r) for r in resid]
+    binv = [[1.0 if c == r else 0.0 for c in range(n)] for r in range(n)]
+    y = [1.0 if r > 0 else 0.5 for r in resid]  # the artificials' weights
+    pool: list[int] = []
+    art = list(range(n))  # the rows whose artificial is still basic
+    pivots = 0
+    while True:
+        if all(xb[r] <= _FEASIBLE for r in art):
+            status = "feasible"
+            break
+        q, best = -1, _EPS
+        for p in pool:
+            i, j, k = candidates[p]
+            score = sign[p] * (y[i] + y[j] + y[k])
+            if score > best:
+                q, best = p, score
+        if q < 0:
+            scores = [g * (y[i] + y[j] + y[k]) for (i, j, k), g in zip(candidates, sign)]
+            best = max(scores, default=0.0)
+            if best <= _EPS:
+                status = "infeasible"  # optimal, with an artificial still above 0
+                break
+            q = scores.index(best)
+            pool = [p for p, score in enumerate(scores) if score > _EPS]
+        if pivots == max_pivots:
+            status = "stopped"
+            break
+        pivots += 1
+        i, j, k = candidates[q]
+        alpha = [row[i] + row[j] + row[k] for row in binv]
+        up = sign[q] > 0  # x_q rises from 0, else falls from 1
+        # ratio test: the first basic variable to reach a bound, else a flip
+        theta, leave, width = 1.0, -1, 0.0
+        for r in range(n):
+            g = alpha[r] if up else -alpha[r]
+            if g > _EPS:
+                limit = xb[r] / g
+            elif g < -_EPS and head[r] >= 0:
+                limit = (1.0 - xb[r]) / -g
+            else:
+                continue
+            limit = max(limit, 0.0)
+            if limit < theta - _EPS or (limit <= theta + _EPS and abs(g) > width):
+                theta, leave, width = limit, r, abs(g)
+        step = theta if up else -theta
+        for r in range(n):
+            if alpha[r]:
+                xb[r] -= step * alpha[r]
+        if leave < 0:
+            sign[q] = -sign[q]
+            continue
+        out = head[leave]
+        if out < 0:
+            art.remove(leave)
+        else:
+            # it left at 0 when its value fell, else at 1
+            sign[out] = 1.0 if (alpha[leave] > 0) == up else -1.0
+        # the duals move by (reduced cost of q) / pivot times the old pivot row
+        a = alpha[leave]
+        factor = -(y[i] + y[j] + y[k]) / a
+        prow = binv[leave]
+        y = [u + factor * b for u, b in zip(y, prow)]
+        prow = [b / a for b in prow]
+        binv[leave] = prow
+        for r in range(n):
+            ar = alpha[r]
+            if ar and r != leave:
+                binv[r] = [b - ar * c for b, c in zip(binv[r], prow)]
+        head[leave] = q
+        sign[q] = 0.0
+        xb[leave] = theta if up else 1.0 - theta
+    x = [1.0 if g < 0 else 0.0 for g in sign]
+    for r, p in enumerate(head):
+        if p >= 0:
+            x[p] = xb[r]
+    return LPResult(status, x, y, pivots)
+
+
+def separator(duals: Sequence[float]) -> Union[tuple[int, ...], None]:
+    """The duals scaled by the least K <= _MAX_SCALE that makes them integral.
+
+    A basic dual solution is rational with a small denominator, so some
+    K * duals lies within _INTEGRAL of an integer vector; that vector is
+    returned rounded, or None if no K works. It is only a proposal: the
+    caller must check it with core.verify_separator.
+    """
+    if not all(map(isfinite, duals)):
+        return None
+    for scale in range(1, _MAX_SCALE + 1):
+        scaled = [scale * u for u in duals]
+        if all(abs(v - round(v)) <= _INTEGRAL for v in scaled):
+            return tuple(round(v) for v in scaled)
+    return None

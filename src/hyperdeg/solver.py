@@ -26,6 +26,15 @@ branch is cut when
 
 Each rule is a cheap necessary condition on any completion, so the search
 is exact: YES comes with a certificate, NO means the space was exhausted.
+
+The rules cannot see what the polytope {Mx = t, 0 <= x <= 1} forces (on
+reduced instances, S+ in and S- out of every realization), so a search
+that outlasts a fixed allowance (ALLOWANCE nodes plus the depth of a
+straight dive) hands over to polytope.solve once (see _run_search). Its
+infeasibility yields a separator y, a NO only once core.verify_separator
+has checked it exactly; its final point x* otherwise reorders the
+candidates for a restart on the remaining budget. Pivots count as nodes.
+
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
 budget returns the same YES/NO on instances already decided.
@@ -64,11 +73,15 @@ from .core import (
     enumerate_triples,
     i64,
     verify_certificate,
+    verify_separator,
 )
 from .graph import Graph
 from .reduction import ThreePartitionInstance, ZeroWeightInstance, reduce_partition_to_zero
 
 DEFAULT_BUDGET = 10_000_000
+# nodes the plain search spends before the polytope layer, on top of the
+# depth of a straight dive (so a dive that meets no failure is never cut)
+ALLOWANCE = 500
 
 Answer = Literal["YES", "NO", "UNKNOWN"]
 
@@ -85,6 +98,9 @@ class DecisionOutcome:
     answer: Answer
     certificate: Union[Hypergraph, Graph, None]
     stats: SearchStats
+    # a NO by the polytope layer: y with y.d > sum_e max(0, y(e)) over the
+    # decider's candidate triples (core.verify_separator); None otherwise
+    separator: Union[tuple[int, ...], None] = None
 
 
 def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
@@ -111,7 +127,11 @@ def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
 
 
 def _search(
-    n: int, candidates: Sequence[Triple], target: Sequence[int], budget: int
+    n: int,
+    candidates: Sequence[Triple],
+    target: Sequence[int],
+    budget: int,
+    dive: Union[list[int], None] = None,
 ) -> tuple[Answer, Union[tuple[Triple, ...], None], int]:
     """Run the include/exclude DFS; returns (answer, edges or None, nodes).
 
@@ -133,6 +153,9 @@ def _search(
     the branch touched it, so only that is rechecked: (c) after an include
     (the total fell), (d) at every unsaturated vertex after an include that
     killed candidates, and (d) at the branched triple after an exclude.
+
+    A list passed as dive receives the positions the first dive included,
+    the include path up to the first failed node (polytope's warm start).
     """
     r = list(target)
     total = sum(r)
@@ -183,6 +206,10 @@ def _search(
             v = r.index(top)
             continue
         # the node failed: resume at the deepest include not yet excluded
+        if dive is not None:
+            # the first failure ends the first dive, every frame an include
+            dive.extend(p for p, _, _, _ in stack)
+            dive = None
         while stack:
             pos, rest, included, v = stack.pop()
             if included:
@@ -217,13 +244,24 @@ def _ordered_candidates(
 
 def _run_search(
     n: int, candidates: Sequence[Triple], target: Sequence[int], budget: int
-) -> tuple[Answer, Union[tuple[Triple, ...], None], int]:
-    """Order, search, and canonicalize; solves the sparser side.
+) -> tuple[Answer, Union[tuple[Triple, ...], tuple[int, ...], None], int]:
+    """Order, search, and canonicalize; returns (answer, witness, nodes).
 
-    A subset S of the candidates has degree vector t exactly when its
-    complement within the candidates has degree vector cand_deg - t, so
+    The witness is the YES edges, sorted, or the integer separator of a NO
+    that polytope found (None for a NO by exhausted search and for
+    UNKNOWN). A subset S of the candidates has degree vector t exactly when
+    its complement within the candidates has degree vector cand_deg - t, so
     when t asks for more than half the candidates the engine runs on the
     complement target and the chosen set is flipped back afterwards.
+
+    The plain search first gets ALLOWANCE nodes plus the depth of a straight
+    dive. If that runs out with budget left, polytope.solve runs once on
+    the searched side, warm-started from the search's first dive, its
+    pivots charged as nodes: an infeasible LP whose separator passes the
+    exact check answers NO; otherwise the search restarts on the remaining
+    budget with the candidates ranked by -x*_e (stable on the demand
+    order). Nothing here depends on the budget except where it stops, so a
+    larger budget gives the same YES/NO at the same node count.
     """
     budget = min(budget, 1 << 62)
     target = tuple(target)
@@ -242,8 +280,26 @@ def _run_search(
         tuple(cd - t for cd, t in zip(cand_deg, target)) if flipped else target
     )
     ordered = _ordered_candidates(candidates, effective)
-    answer, edges, nodes = _search(n, ordered, effective, budget)
-    if edges is not None:
+    dive: list[int] = []
+    allowance = ALLOWANCE + sum(effective) // 3
+    answer, edges, nodes = _search(n, ordered, effective, min(budget, allowance), dive)
+    if answer == "UNKNOWN" and nodes < budget:
+        from . import polytope  # only searches that outlast the allowance load it
+
+        lp = polytope.solve(n, ordered, effective, dive, budget - nodes)
+        nodes += lp.pivots
+        y = polytope.separator(lp.duals) if lp.status == "infeasible" else None
+        if y is not None and flipped:
+            y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
+        if y is not None and verify_separator(y, target, candidates):
+            return "NO", y, nodes
+        if nodes < budget:
+            rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
+            answer, edges, more = _search(
+                n, [ordered[p] for p in rank], effective, budget - nodes
+            )
+            nodes += more
+    if answer == "YES":
         if flipped:
             complement = set(edges)
             edges = tuple(e for e in candidates if e not in complement)
@@ -257,10 +313,11 @@ def _outcome(
     nodes: int,
     budget: int,
     started: float,
+    separator: Union[tuple[int, ...], None] = None,
 ) -> DecisionOutcome:
     millis = int((perf_counter() - started) * 1000)
     used = nodes / budget if budget > 0 else 1.0
-    return DecisionOutcome(answer, certificate, SearchStats(nodes, millis, used))
+    return DecisionOutcome(answer, certificate, SearchStats(nodes, millis, used), separator)
 
 
 def _certificate(
@@ -296,9 +353,10 @@ def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOu
     check_int(budget, "budget", nonnegative=True)  # before any answer, the prefilter's too
     if prefilter_degseq(d) is not None:
         return _outcome("NO", None, 0, budget, started)
-    answer, edges, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
-    certificate = _certificate(answer, d.n, edges, lambda e: verify_certificate(e, d))
-    return _outcome(answer, certificate, nodes, budget, started)
+    answer, witness, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
+    certificate = _certificate(answer, d.n, witness, lambda e: verify_certificate(e, d))
+    separator = witness if answer == "NO" else None
+    return _outcome(answer, certificate, nodes, budget, started, separator)
 
 
 def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -315,9 +373,12 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
         for x in enumerate_triples(inst.n)
         if i64(w[x[0]] + w[x[1]] + w[x[2]], "weighted value") == 0
     ]
-    answer, edges, nodes = _run_search(inst.n, candidates, inst.c.values, budget)
-    certificate = _certificate(answer, inst.n, edges, lambda e: verify_zero_certificate(e, inst))
-    return _outcome(answer, certificate, nodes, budget, started)
+    answer, witness, nodes = _run_search(inst.n, candidates, inst.c.values, budget)
+    certificate = _certificate(
+        answer, inst.n, witness, lambda e: verify_zero_certificate(e, inst)
+    )
+    separator = witness if answer == "NO" else None
+    return _outcome(answer, certificate, nodes, budget, started, separator)
 
 
 def decide_partition(

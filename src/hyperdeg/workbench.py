@@ -103,6 +103,12 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+def _check_seed(seed: Any) -> None:
+    """A seed is any int but a bool; SplitMix64 masks it to 64 bits."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def gen_planted_degseq(n: int, m: int, seed: int) -> tuple[DegSeqInstance, Hypergraph]:
     """Sample m distinct triples of [n] uniformly; return their degree sum
     and the witness hypergraph.
@@ -111,7 +117,9 @@ def gen_planted_degseq(n: int, m: int, seed: int) -> tuple[DegSeqInstance, Hyper
     list, so the output is reproducible from (n, m, seed).
     """
     pool = enumerate_triples(n)
-    if not 0 <= m <= len(pool):
+    check_int(m, "edge count", nonnegative=True)
+    _check_seed(seed)
+    if m > len(pool):
         raise ValueError(f"edge count {m} out of range [0, {len(pool)}]")
     rng = SplitMix64(seed)
     for i in range(m):
@@ -136,10 +144,11 @@ def gen_partition(
     nonnegative and makes 3*sum(a) divisible by n; such a delta always
     exists, so no resampling is ever needed.
     """
-    if n <= 0 or n % 3:
+    check_int(n, "n", nonnegative=True)
+    check_int(max_value, "max_value", nonnegative=True)
+    _check_seed(seed)
+    if n == 0 or n % 3:
         raise ValueError(f"n must be a positive multiple of 3, got {n}")
-    if max_value < 0:
-        raise ValueError(f"max_value must be nonnegative, got {max_value}")
     rng = SplitMix64(seed)
     if planted:
         first = [rng.below(max_value + 1) for _ in range(3)]

@@ -446,3 +446,14 @@ def test_import_leaves_numpy_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "False\n"
+
+
+def test_import_leaves_polytope_unloaded():
+    # the polytope layer loads only when a search outlasts its allowance
+    src = Path(hyperdeg.__file__).resolve().parent.parent
+    probe = "import sys, hyperdeg.cli; print('hyperdeg.polytope' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"

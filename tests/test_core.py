@@ -20,8 +20,11 @@ from hyperdeg import (
     decide_zero,
     degree_sum,
     enumerate_triples,
+    gen_partition,
+    gen_planted_degseq,
     sign_partition,
     verify_certificate,
+    verify_separator,
     weighted_value,
 )
 from hyperdeg.core import I64_MAX, I64_MIN, EdgeListError, checked_dot, checked_sum, i64
@@ -232,6 +235,10 @@ _ENTRY_POINTS = {
     "enumerate_triples": (lambda x: enumerate_triples(x), True),
     "decide_degseq.budget": (lambda x: decide_degseq(DegreeSequence((1, 1, 1)), budget=x), True),
     "decide_zero.budget": (lambda x: decide_zero(_ZERO, budget=x), True),
+    "gen_partition.n": (lambda x: gen_partition(x, 5, 0), True),
+    "gen_partition.max_value": (lambda x: gen_partition(3, x, 0), True),
+    "gen_planted_degseq.n": (lambda x: gen_planted_degseq(x, 0, 0), True),
+    "gen_planted_degseq.m": (lambda x: gen_planted_degseq(4, x, 0), True),
 }
 
 
@@ -259,9 +266,67 @@ class TestIntegerRule:
         assert DegreeSequence((0, I64_MAX)).values == (0, I64_MAX)
         assert ThreePartitionInstance((), I64_MAX).b == I64_MAX
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gen_partition(3.0, 5, 0),  # a TypeError from range before the rule
+            lambda: gen_planted_degseq(4, True, 0),  # accepted as m = 1 before the rule
+            lambda: gen_partition(3, 5, True),
+            lambda: gen_partition(3, 5, 1.0),
+            lambda: gen_planted_degseq(4, 1, False),
+        ],
+        ids=["partition-n-float", "planted-m-bool", "partition-seed-bool",
+             "partition-seed-float", "planted-seed-bool"],
+    )
+    def test_generators_reject(self, call):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert err.type is ValueError
+
+    def test_generator_seed_range_is_masked(self):
+        # SplitMix64 masks a seed to 64 bits, so only its type is checked
+        assert gen_partition(6, 5, -1) == gen_partition(6, 5, (1 << 64) - 1)
+        assert gen_planted_degseq(5, 3, 1 << 64) == gen_planted_degseq(5, 3, 0)
+
     def test_failure_names_first_bad_entry(self):
         with pytest.raises(ValueError, match=r"degree\[2\] must be a nonnegative integer"):
             DegreeSequence((0, 1, True, -1))
+
+
+class TestVerifySeparator:
+    # (3, 3, 3, 0): vertex 3 is isolated, so one triple is all 0..2 can use
+    TARGET = (3, 3, 3, 0)
+
+    def test_accepts_a_separator(self):
+        # y.t = 9 > 3 = max(0, y(012)), the other triples score -1
+        assert verify_separator((1, 1, 1, -3), self.TARGET, enumerate_triples(4))
+
+    def test_rejects_zeroed_y(self):
+        check = verify_separator((0, 0, 0, 0), self.TARGET, enumerate_triples(4))
+        assert not check and check.reason == "not_separating"
+
+    def test_rejects_a_miss_by_one(self):
+        # the bound is 3 (triple 012 alone scores above 0): y.t = 4 separates,
+        # y.t = 3 only meets it
+        y = (1, 1, 1, -3)
+        assert verify_separator(y, (2, 1, 1, 0), enumerate_triples(4))
+        check = verify_separator(y, (1, 1, 1, 0), enumerate_triples(4))
+        assert not check and check.reason == "not_separating"
+
+    @pytest.mark.parametrize(
+        "y",
+        [(1, 1, 1, I64_MAX), (1, 1, 1, I64_MIN), (1, 1, 1, 1 << 63), (1, 1, 1, -(1 << 63) - 1),
+         (1, 1, True, -3), (1, 1, 1.0, -3), (1, 1, 1)],
+        ids=["i64-max", "i64-min", "above-i64", "below-i64", "bool", "float", "short"],
+    )
+    def test_rejects_malformed(self, y):
+        check = verify_separator(y, self.TARGET, enumerate_triples(4))
+        assert not check and check.reason == "malformed_separator"
+
+    def test_rejects_overflowing_sums(self):
+        big = I64_MAX // 3
+        check = verify_separator((big, big, big, 0), (2, 2, 2, 0), enumerate_triples(4))
+        assert not check and check.reason == "overflow"
 
 
 class TestCheckedArithmetic:

@@ -13,6 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("equivalence_experiment.py", ["--count", "6", "--n", "6"], "disagreements 0"),
         ("bench_engine.py", ["--sizes", "6", "--per-size", "5"], "instances"),
+        # planted n = 13: 7 of 40 were UNKNOWN at 200k nodes before the polytope layer
+        ("bench_engine.py", ["--sizes", "13", "--per-size", "10", "--budget", "20000"],
+         "unknown 0"),
     ],
 )
 def test_script_runs(script, args, expect):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from itertools import product
 from math import comb
@@ -23,13 +24,17 @@ from hyperdeg import (
     decide_zero,
     degree_sum,
     enumerate_triples,
+    gen_partition,
     gen_planted_degseq,
     prefilter_degseq,
+    reduce_partition_to_degseq,
     sign_partition,
     verify_certificate,
     verify_partition_certificate,
+    verify_separator,
     verify_zero_certificate,
 )
+from hyperdeg import polytope, solver
 from hyperdeg.solver import _ordered_candidates, _search
 
 ENGINE_GOLDEN = json.loads(
@@ -254,7 +259,8 @@ class TestEngineGolden:
     while decide_partition still filtered a.x == b itself and decide_zero
     took S0 from the sign partition, so they pin that deciding 3-partition
     through its zero-weight reduction changed no answer, certificate or
-    node count.
+    node count. Every row of those five sections decides within 411 nodes,
+    below the search's allowance; the polytope rows are the ones beyond it.
     """
 
     @staticmethod
@@ -294,6 +300,14 @@ class TestEngineGolden:
             inst = ZeroWeightInstance(WeightVector(tuple(w)), DegreeSequence(tuple(c)))
             assert self._decided(decide_zero(inst, budget)) == want, (w, c, budget)
 
+    def test_polytope_rows(self):
+        # reduced n = 12 instances that reach the polytope layer: nodes count
+        # its pivots, and a NO there carries its separator
+        for d, budget, *want, separator in ENGINE_GOLDEN["polytope"]:
+            out = decide_degseq(DegreeSequence(tuple(d)), budget)
+            assert self._decided(out) == want, (d, budget)
+            assert out.separator == (None if separator is None else tuple(separator)), d
+
     def test_zero_budget(self):
         assert _search(4, enumerate_triples(4), (1, 1, 1, 0), 0) == ("UNKNOWN", None, 0)
 
@@ -318,6 +332,125 @@ class TestLargestResidualBranching:
             out = decide_degseq(inst.d, budget=2000)
             assert out.answer == "YES", i
             assert verify_certificate(out.certificate, inst.d), i
+
+
+def _realizable_degrees(n):
+    """Every degree vector of a 3-hypergraph on [n], n <= 6.
+
+    The bitmask enumeration of bruteforce_degseq, run once over all
+    2^C(n,3) triple subsets instead of once per target.
+    """
+    import numpy as np
+
+    triples = list(itertools.combinations(range(n), 3))
+    codes = np.arange(1 << len(triples), dtype=np.uint32)
+    key = np.zeros(codes.shape, dtype=np.int64)
+    for v in range(n):
+        mask = sum(1 << e for e, t in enumerate(triples) if v in t)
+        key = key * 16 + np.bitwise_count(codes & np.uint32(mask))
+    return set(np.unique(key).tolist())
+
+
+def _key(values):
+    key = 0
+    for x in values:
+        key = key * 16 + x
+    return key
+
+
+class TestPolytopeLayer:
+    # seeds whose reduced degseq stayed UNKNOWN after 300k plain-search nodes
+    @pytest.mark.parametrize("seed", [44, 47, 53, 56])
+    def test_frontier_no_by_separator(self, seed):
+        inst = gen_partition(12, 20, seed=seed)
+        d = reduce_partition_to_degseq(inst).degseq.d
+        out = decide_degseq(d, budget=2000)
+        assert out.answer == "NO"
+        assert not bruteforce_partition(inst)
+        assert out.separator is not None
+        assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
+
+    def test_budget_monotone_through_the_layer(self):
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
+        settled = decide_degseq(d, budget=10**6)
+        assert settled.answer == "NO" and settled.separator is not None
+        nodes = settled.stats.nodes
+        for budget in (nodes, nodes + 1, 10 * nodes):
+            again = decide_degseq(d, budget=budget)
+            assert (again.answer, again.stats.nodes) == ("NO", nodes)
+            assert again.separator == settled.separator
+        assert decide_degseq(d, budget=nodes - 1).answer == "UNKNOWN"
+
+    def test_decide_zero_shares_the_layer(self):
+        # all weights 0: every triple is a candidate, as in decide_degseq
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
+        inst = ZeroWeightInstance(WeightVector((0,) * 12), d)
+        out = decide_zero(inst, budget=2000)
+        assert out.answer == "NO"
+        assert out.stats.nodes == decide_degseq(d, budget=2000).stats.nodes
+        assert verify_separator(out.separator, d.values, sign_partition(inst.w).s_zero.edges)
+
+    @staticmethod
+    def _force_layer(monkeypatch):
+        """Allowance 0 and a record of every LP status.
+
+        The search keeps the depth of a straight dive, one node short of
+        finishing one, so every search that does not end in NO within that
+        many nodes reaches the polytope layer.
+        """
+        monkeypatch.setattr(solver, "ALLOWANCE", 0)
+        statuses = []
+        real_solve = polytope.solve
+
+        def spy(*args):
+            result = real_solve(*args)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(polytope, "solve", spy)
+        return statuses
+
+    def test_forced_through_the_layer_agrees_with_bruteforce(self, monkeypatch):
+        statuses = self._force_layer(monkeypatch)
+        checked = 0
+        for n in range(7):
+            realizable = _realizable_degrees(n)
+            cap = comb(n - 1, 2) if n else 0
+            for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
+                out = decide_degseq(DegreeSequence(vals))
+                assert out.answer == ("YES" if _key(vals) in realizable else "NO"), vals
+                if out.separator is not None:
+                    assert verify_separator(out.separator, vals, enumerate_triples(n)), vals
+                checked += 1
+        assert checked == 8512
+        assert statuses.count("infeasible") > 500 and statuses.count("feasible") > 300
+        for vals in ((4, 4, 4, 3, 3), (5, 4, 3, 3, 3), (6, 6, 6, 6, 6, 0)):
+            d = DegreeSequence(vals)
+            assert (decide_degseq(d).answer == "YES") == bruteforce_degseq(d), vals
+
+    def test_decide_zero_forced_through_the_layer_agrees_with_bruteforce(self, monkeypatch):
+        statuses = self._force_layer(monkeypatch)
+        for seed in range(600):
+            rng = SplitMix64(30_000 + seed)
+            n = 4 + rng.below(5)
+            w = WeightVector(tuple(rng.below(5) - 2 for _ in range(n)))
+            zero_edges = sign_partition(w).s_zero.edges
+            if len(zero_edges) > 16:
+                continue
+            c = list(degree_sum(Hypergraph(n, tuple(e for e in zero_edges if rng.below(2)))))
+            # a unit moved between equal weights keeps the promise w.c = 0
+            moves = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and w[u] == w[v] and c[u]]
+            if seed % 2 and moves:
+                u, v = moves[rng.below(len(moves))]
+                c[u] -= 1
+                c[v] += 1
+            inst = ZeroWeightInstance(w, DegreeSequence(tuple(c)))
+            out = decide_zero(inst)
+            assert (out.answer == "YES") == bruteforce_zero(inst), (w, c)
+            if out.separator is not None:
+                assert verify_separator(out.separator, c, zero_edges), (w, c)
+        assert statuses.count("feasible") > 300
 
 
 class TestPlantedRoundTrip:
