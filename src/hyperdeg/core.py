@@ -5,8 +5,10 @@ strictly increasing lexicographic order inside a hypergraph, so edge sets
 are duplicate-free by construction. The 0/1 incidence-vector view of an
 edge is recoverable as the indicator vector of {i, j, k}.
 
-check_edges is the one edge-list check, for these triples and for the
-pairs of graph.Graph; both types and every certificate verifier use it.
+Hypergraph and graph.Graph share one edge-set base, _EdgeSet, and differ
+only in their edge parser and wire kind. check_edges is the one edge-list
+check, behind both and every certificate verifier; exists_subset_with_degrees
+is the one brute-force enumerator, for any arity, behind every oracle.
 
 check_int is the one rule for every integer the library accepts (check_ints
 for a vector, in one pass); the edge parsers inline its type test.
@@ -146,28 +148,40 @@ def check_edges(
 
 
 @dataclass(frozen=True)
-class Hypergraph:
-    """A set of triples on ground set [n], stored in increasing lex order."""
+class _EdgeSet:
+    """A strictly increasing edge list on [n] with its counted degrees.
+
+    Subclasses set only their edge parser and kind; equality compares the class.
+    """
 
     n: int
-    edges: tuple[Triple, ...] = ()
+    edges: tuple[tuple[int, ...], ...] = ()
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _parse: ClassVar[Callable[[Sequence[int], int], tuple]]
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
-        edges, degrees = check_edges(self.edges, self.n, _validate_triple)
+        edges, degrees = check_edges(self.edges, self.n, self._parse)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", degrees)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]):
         """Build from edges in any order; sorts and rejects duplicates."""
         return cls(n, tuple(sorted(tuple(e) for e in edges)))
 
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __iter__(self) -> Iterator[Triple]:
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.edges)
+
+
+class Hypergraph(_EdgeSet):
+    """A set of triples on ground set [n], stored in increasing lex order."""
+
+    _parse = staticmethod(_validate_triple)
+    kind = "hypergraph"
 
 
 @dataclass(frozen=True)
@@ -284,6 +298,38 @@ def sign_partition(w: WeightVector) -> SignPartition:
         s_zero=Hypergraph(n, tuple(zero)),
         s_plus=Hypergraph(n, tuple(pos)),
     )
+
+
+def exists_subset_with_degrees(
+    n: int, candidates: Sequence[Sequence[int]], target: Sequence[int]
+) -> bool:
+    """Exhaustively test all 2^len(candidates) subsets for degree vector target.
+
+    Any arity: edge e sets bit e in the mask of each of its vertices, so
+    subset code s has degree popcount(s & mask_v) at v. Vectorized in chunks;
+    exact, no pruning beyond the fact that no degree can exceed the edge count.
+    """
+    import numpy as np  # only the oracles need it; keeps `import hyperdeg` light
+
+    m = len(candidates)
+    tgt = [int(x) for x in target]
+    if any(x < 0 or x > m for x in tgt):
+        return False
+    masks = [0] * n
+    for e, edge in enumerate(candidates):
+        for v in edge:
+            masks[v] |= 1 << e
+    chunk = 1 << 16
+    for lo in range(0, 1 << m, chunk):
+        codes = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.uint32)
+        ok = np.ones(codes.shape, dtype=bool)
+        for v in range(n):
+            ok &= np.bitwise_count(codes & np.uint32(masks[v])) == tgt[v]
+            if not ok.any():
+                break
+        if ok.any():
+            return True
+    return False
 
 
 def verify_certificate(

@@ -4,15 +4,14 @@ hh_realize runs the Havel-Hakimi construction and returns an actual
 realization; the CLI decides k = 2 by it, in `decide` and `graph-check`.
 eg_check evaluates the Erdos-Gallai inequality family in its two-index
 (j, l) form and is the cross-check the CLI asserts. graph_bruteforce
-enumerates every labeled graph on [n] (n <= 7) and is the ground truth
-both are measured against. Graph and verify_graph_certificate check their
-pairs with core.check_edges, the edge-list check of Hypergraph.
+scans every labeled graph on [n] (n <= 7) with the hypergraph oracles'
+enumerator, core.exists_subset_with_degrees, and is the ground truth both
+are measured against. Graphs are the arity-2 case: Graph is Hypergraph's
+edge-set base with the pair parser _validate_pair and the kind "graph".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -20,7 +19,8 @@ from .core import (
     CertificateCheck,
     DegreeSequence,
     InstanceTooLargeError,
-    check_edges,
+    _EdgeSet,
+    exists_subset_with_degrees,
     verify_edges,
 )
 
@@ -39,18 +39,11 @@ def _validate_pair(edge: Sequence[int], n: int) -> Pair:
     return (i, j)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_EdgeSet):
     """A simple graph on [n]: strictly increasing list of index pairs."""
 
-    n: int
-    edges: tuple[Pair, ...] = ()
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        edges, degrees = check_edges(self.edges, self.n, _validate_pair)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "degrees", degrees)
+    _parse = staticmethod(_validate_pair)
+    kind = "graph"
 
 
 def eg_check(d: DegreeSequence) -> bool:
@@ -110,34 +103,12 @@ def hh_realize(d: DegreeSequence) -> Union[Graph, None]:
     return Graph(n, tuple(edges))
 
 
-@lru_cache(maxsize=None)
-def _graph_degree_vectors(n: int) -> frozenset[tuple[int, ...]]:
-    """Degree vectors of all 2^C(n,2) labeled graphs on [n], enumerated once."""
-    import numpy as np  # only the oracle needs it; keeps `import hyperdeg` light
-
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    if m == 0:
-        return frozenset({(0,) * n})
-    codes = np.arange(1 << m, dtype=np.uint32)
-    cols = []
-    for v in range(n):
-        mask = 0
-        for e, (i, j) in enumerate(pairs):
-            if v == i or v == j:
-                mask |= 1 << e
-        cols.append(np.bitwise_count(codes & np.uint32(mask)).astype(np.uint8))
-    arr = np.stack(cols, axis=1)
-    uniq = np.unique(arr, axis=0)
-    return frozenset(map(tuple, uniq.tolist()))
-
-
 def graph_bruteforce(d: DegreeSequence) -> bool:
     """Ground truth for graphicality by exhausting all graphs on [n], n <= 7."""
     n = d.n
     if n > 7:
         raise InstanceTooLargeError(f"graph brute force limited to n <= 7, got n = {n}")
-    return d.values in _graph_degree_vectors(n)
+    return exists_subset_with_degrees(n, list(combinations(range(n), 2)), d.values)
 
 
 def verify_graph_certificate(

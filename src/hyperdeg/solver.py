@@ -47,10 +47,10 @@ could have broken, which is exact because its parent passed them all.
 tests/goldens/engine.json pins its answers, certificates, and node
 counts (regenerated by scripts/engine_golden.py).
 
-The brute-force oracles at the bottom are deliberately independent of the
-engine (and of the core degree arithmetic): they enumerate subsets by
-bitmask popcounts, or perfect triple partitions directly, and exist to
-catch bugs in everything above them.
+The brute-force oracles at the bottom exist to catch bugs in everything
+above them, so they still share no engine code, degree_sum or check_edges:
+they scan subsets by bitmask popcounts in core.exists_subset_with_degrees
+(as graph.graph_bruteforce does), or enumerate perfect triple partitions.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .core import (
     check_int,
     checked_sum,
     enumerate_triples,
+    exists_subset_with_degrees,
     i64,
     verify_certificate,
     verify_separator,
@@ -118,8 +119,6 @@ def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
         if x > per_vertex_cap:
             return f"d[{v}] = {x} exceeds the per-vertex maximum C(n-1,2) = {per_vertex_cap}"
     edges = total // 3
-    if edges > comb(n, 3):
-        return f"implied edge count {edges} exceeds C(n,3) = {comb(n, 3)}"
     for v, x in enumerate(vals):
         if x > edges:
             return f"d[{v}] = {x} exceeds the implied edge count {edges}"
@@ -421,45 +420,12 @@ def verify_partition_certificate(
     return CertificateCheck(True)
 
 
-def _exists_subset_with_degrees(
-    n: int, candidates: Sequence[Triple], target: Sequence[int]
-) -> bool:
-    """Exhaustively test all 2^len(candidates) subsets for degree vector target.
-
-    Bitmask enumeration: subset code s has degree popcount(s & mask_v) at
-    vertex v. Vectorized in chunks; exact, no pruning beyond the fact that
-    no degree can exceed the candidate count.
-    """
-    import numpy as np  # only the oracles need it; keeps `import hyperdeg` light
-
-    m = len(candidates)
-    tgt = [int(x) for x in target]
-    if any(x < 0 or x > m for x in tgt):
-        return False
-    masks = [0] * n
-    for e, (i, j, k) in enumerate(candidates):
-        masks[i] |= 1 << e
-        masks[j] |= 1 << e
-        masks[k] |= 1 << e
-    chunk = 1 << 16
-    for lo in range(0, 1 << m, chunk):
-        codes = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.uint32)
-        ok = np.ones(codes.shape, dtype=bool)
-        for v in range(n):
-            ok &= np.bitwise_count(codes & np.uint32(masks[v])) == tgt[v]
-            if not ok.any():
-                break
-        if ok.any():
-            return True
-    return False
-
-
 def bruteforce_degseq(d: DegreeSequence) -> bool:
     """Ground truth for realizability by exhausting all triple subsets, n <= 6."""
     n = d.n
     if n > 6:
         raise InstanceTooLargeError(f"degree-sequence brute force limited to n <= 6, got n = {n}")
-    return _exists_subset_with_degrees(
+    return exists_subset_with_degrees(
         n, list(itertools.combinations(range(n), 3)), d.values
     )
 
@@ -480,7 +446,7 @@ def bruteforce_zero(inst: ZeroWeightInstance) -> bool:
         raise InstanceTooLargeError(
             f"zero-weight brute force limited to |S0| <= 20, got {len(candidates)}"
         )
-    return _exists_subset_with_degrees(inst.n, candidates, inst.c.values)
+    return exists_subset_with_degrees(inst.n, candidates, inst.c.values)
 
 
 def bruteforce_partition(inst: ThreePartitionInstance) -> bool:

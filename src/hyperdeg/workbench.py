@@ -313,10 +313,6 @@ def parse_certificate(text: str) -> CertificateDoc:
 
 
 def certificate_document(cert: Union[Hypergraph, Graph, CertificateDoc]) -> dict:
-    if isinstance(cert, Hypergraph):
-        return {"certificate": "hypergraph", "edges": [list(e) for e in cert.edges]}
-    if isinstance(cert, Graph):
-        return {"certificate": "graph", "edges": [list(e) for e in cert.edges]}
     return {"certificate": cert.kind, "edges": [list(e) for e in cert.edges]}
 
 

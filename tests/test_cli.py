@@ -334,6 +334,16 @@ class TestOracle:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "d, code", [([6, 6, 6, 6, 6, 6, 0], 1), ([1, 1, 1, 1, 1, 1, 2], 0)]
+    )
+    def test_graph_n7(self, capsys, tmp_path, d, code):
+        inst = tmp_path / "k2.json"
+        inst.write_text(json.dumps({"problem": "degseq", "k": 2, "d": d}) + "\n")
+        got, doc = out_json(capsys, "oracle", "--input", str(inst))
+        assert got == code
+        assert doc["answer"] == ("YES" if code == 0 else "NO")
+
     def test_too_large_exit_2(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"problem": "degseq", "k": 3, "d": [0] * 9}) + "\n")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hyperdeg import (
     DegreeSequence,
     Graph,
+    Hypergraph,
     InstanceTooLargeError,
     eg_check,
     graph_bruteforce,
@@ -96,6 +98,38 @@ class TestGraphBruteforce:
         assert not graph_bruteforce(DegreeSequence((10**12, 0, 0)))
 
 
+def _planted_graph_degrees(n, rnd):
+    pairs = list(combinations(range(n), 2))
+    counts = [0] * n
+    for i, j in rnd.sample(pairs, rnd.randint(0, len(pairs))):
+        counts[i] += 1
+        counts[j] += 1
+    return DegreeSequence(tuple(counts))
+
+
+class TestGraphBruteforcePastFive:
+    # n = 6 and 7 scan 2^15 and 2^21 labeled graphs per target
+    @pytest.mark.parametrize("n", (6, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_yes(self, n, seed):
+        d = _planted_graph_degrees(n, random.Random(100 * n + seed))
+        assert graph_bruteforce(d)
+        assert eg_check(d)
+        assert hh_realize(d) is not None
+
+    @pytest.mark.parametrize("n", (6, 7))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_no(self, n, seed):
+        # an even-total vector with entries below n that Erdos-Gallai rejects
+        rnd = random.Random(1000 * n + seed)
+        while True:
+            d = DegreeSequence(tuple(rnd.randrange(n) for _ in range(n)))
+            if sum(d) % 2 == 0 and not eg_check(d):
+                break
+        assert not graph_bruteforce(d), d.values
+        assert hh_realize(d) is None
+
+
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("n", range(5))
     def test_exhaustive_small(self, n):
@@ -123,6 +157,18 @@ class TestGraphType:
     def test_degrees(self):
         g = Graph(4, ((0, 1), (0, 2), (0, 3)))
         assert g.degrees == (3, 1, 1, 1)
+
+    def test_from_edges_sorts(self):
+        assert Graph.from_edges(3, [(1, 2), (0, 1)]).edges == ((0, 1), (1, 2))
+
+    def test_distinct_from_hypergraph(self):
+        # one edge-set base, but the class stays part of the value
+        h, g = Hypergraph(3, ()), Graph(3, ())
+        assert h != g
+        assert repr(h) == "Hypergraph(n=3, edges=())"
+        assert repr(g) == "Graph(n=3, edges=())"
+        assert len({h, g, Hypergraph(3, ()), Graph(3, ())}) == 2
+        assert (h.kind, g.kind) == ("hypergraph", "graph")
 
 
 class TestVerifyGraphCertificate:

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,3 +29,14 @@ def test_script_runs(script, args, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_engine_golden_imports():
+    # the golden writer imports the engine's private _search and
+    # _ordered_candidates; its __main__ guard keeps this from rewriting
+    # tests/goldens/engine.json
+    path = ROOT / "scripts" / "engine_golden.py"
+    spec = importlib.util.spec_from_file_location("engine_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.record) and callable(module.dump)
