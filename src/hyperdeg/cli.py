@@ -1,9 +1,9 @@
 """Command-line surface: decide, reduce, verify, oracle, gen, graph-check.
 
 Every invocation prints one JSON result document to stdout and diagnostics
-to stderr. Exit codes: 0 = YES (or valid/graphical/success), 1 = NO,
-2 = usage or validation error, 3 = UNKNOWN (node budget exhausted),
-4 = internal error (a bug, never an answer).
+to stderr. Exit codes: 0 = YES (or valid/graphical/success), 1 = NO (or
+an invalid certificate), 2 = usage error or an invalid document, 3 =
+UNKNOWN (node budget exhausted), 4 = internal error (a bug, never an answer).
 """
 
 from __future__ import annotations

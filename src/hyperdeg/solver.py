@@ -262,7 +262,6 @@ def _run_search(
     order). Nothing here depends on the budget except where it stops, so a
     larger budget gives the same YES/NO at the same node count.
     """
-    budget = min(budget, 1 << 62)
     target = tuple(target)
     cand_deg = [0] * n
     for i, j, k in candidates:

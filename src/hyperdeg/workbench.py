@@ -6,7 +6,8 @@ Instance documents are single JSON objects:
   {"problem": "zero_weight", "w": [1, -1], "c": [2, 2]}
   {"problem": "three_partition", "a": [1, 1, 1], "b": 3}
 
-Certificates are stored separately:
+Certificates are stored separately; their edges are judged by the
+verifiers (core.check_edges), not by the parser:
 
   {"certificate": "hypergraph", "edges": [[0, 1, 2], [0, 1, 3]]}
   {"certificate": "graph", "edges": [[0, 1]]}           (k = 2 realizations)
@@ -35,7 +36,6 @@ from typing import Any, Union
 
 from .core import (
     DegreeSequence,
-    GroundSetMismatchError,
     Hypergraph,
     Int64OverflowError,
     WeightVector,
@@ -177,9 +177,9 @@ def gen_partition(
     return ThreePartitionInstance(a=tuple(a), b=b)
 
 
-def _require_int(value: Any, field: str) -> int:
+def _require_int(value: Any, field: str, nonnegative: bool = False) -> int:
     try:
-        return check_int(value, f"field '{field}'")
+        return check_int(value, f"field '{field}'", nonnegative)
     except (ValueError, Int64OverflowError) as exc:
         raise ParseError(str(exc), field) from None
 
@@ -197,14 +197,19 @@ def _check_fields(doc: dict, allowed: set[str]) -> None:
             raise ParseError(f"unknown field '{key}'", key)
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse and validate an instance document; errors name the bad field."""
+def _load_object(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
+        raise ParseError(f"{what} document must be a JSON object")
+    return doc
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse and validate an instance document; errors name the bad field."""
+    doc = _load_object(text, "instance")
     problem = doc.get("problem")
     if problem == "degseq":
         _check_fields(doc, {"problem", "k", "d"})
@@ -228,14 +233,14 @@ def parse_instance(text: str) -> Instance:
             return ZeroWeightInstance(w=WeightVector(w), c=DegreeSequence(c))
         except PromiseViolationError as exc:
             raise ParseError(str(exc), "promise") from None
-        except (GroundSetMismatchError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), "c") from None
     if problem == "three_partition":
         _check_fields(doc, {"problem", "a", "b"})
         if "a" not in doc or "b" not in doc:
             raise ParseError("three_partition instance needs fields 'a' and 'b'", "b" if "a" in doc else "a")
         a = _require_int_list(doc["a"], "a")
-        b = _require_int(doc["b"], "b")
+        b = _require_int(doc["b"], "b", nonnegative=True)
         try:
             return ThreePartitionInstance(a=a, b=b)
         except PromiseViolationError as exc:
@@ -273,50 +278,39 @@ def serialize_instance(inst: Instance) -> str:
 
 @dataclass(frozen=True)
 class CertificateDoc:
-    """Parsed certificate file: kind 'hypergraph' (triples) or 'graph' (pairs)."""
+    """Parsed certificate file: kind 'hypergraph' (triples) or 'graph' (pairs).
+
+    Edges are as read and unjudged: list entries as tuples, others unchanged.
+    """
 
     kind: str
-    edges: tuple[tuple[int, ...], ...]
+    edges: tuple[Any, ...]
 
 
 def parse_certificate(text: str) -> CertificateDoc:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("certificate document must be a JSON object")
+    """Parse a certificate document, checking the document only.
+
+    Edge faults are not parse errors: the verifier reports them with its
+    reason (malformed_edge or edges_out_of_order).
+    """
+    doc = _load_object(text, "certificate")
     _check_fields(doc, {"certificate", "edges"})
     kind = doc.get("certificate")
     if kind not in ("hypergraph", "graph"):
         raise ParseError(
             "field 'certificate' must be 'hypergraph' or 'graph'", "certificate"
         )
-    width = 3 if kind == "hypergraph" else 2
     raw = doc.get("edges")
     if not isinstance(raw, list):
         raise ParseError("field 'edges' must be a list", "edges")
-    edges = []
-    prev = None
-    for idx, entry in enumerate(raw):
-        field = f"edges[{idx}]"
-        if not isinstance(entry, list) or len(entry) != width:
-            raise ParseError(f"field '{field}' must be a list of {width} indices", field)
-        e = tuple(_require_int(x, field) for x in entry)
-        if any(e[i] >= e[i + 1] for i in range(width - 1)):
-            raise ParseError(f"field '{field}' is not strictly increasing", field)
-        if prev is not None and e <= prev:
-            raise ParseError(f"field '{field}' breaks the sorted edge order", field)
-        edges.append(e)
-        prev = e
-    return CertificateDoc(kind=kind, edges=tuple(edges))
+    return CertificateDoc(kind, tuple(tuple(e) if isinstance(e, list) else e for e in raw))
 
 
-def certificate_document(cert: Union[Hypergraph, Graph, CertificateDoc]) -> dict:
+def certificate_document(cert: Union[Hypergraph, Graph]) -> dict:
     return {"certificate": cert.kind, "edges": [list(e) for e in cert.edges]}
 
 
-def serialize_certificate(cert: Union[Hypergraph, Graph, CertificateDoc]) -> str:
+def serialize_certificate(cert: Union[Hypergraph, Graph]) -> str:
     return dump_document(certificate_document(cert))
 
 

@@ -318,6 +318,94 @@ class TestVerify:
         assert code == 2
 
 
+# every reason `verify` can print, per instance kind; edges are judged by
+# the verifier, so an edge fault is an invalid certificate (exit 1)
+_VERIFY_INSTANCES = {
+    "degseq3": ('{"problem":"degseq","k":3,"d":[1,1,1]}', "hypergraph", "graph"),
+    "degseq2": ('{"problem":"degseq","k":2,"d":[3,3,2,2,2]}', "graph", "hypergraph"),
+    "zero": ('{"problem":"zero_weight","w":[0,1,-1,1,-1],"c":[2,1,1,1,1]}', "hypergraph", "graph"),
+    "partition": ('{"problem":"three_partition","a":[1,2,3,4,5,7],"b":11}', "hypergraph", "graph"),
+}
+_VERIFY_TABLE = [
+    ("degseq3", "valid", "[[0,1,2]]", None),
+    ("degseq3", "empty", "[]", "degree_mismatch"),
+    ("degseq3", "descending", "[[2,1,0]]", "malformed_edge"),
+    ("degseq3", "width", "[[0,1]]", "malformed_edge"),
+    ("degseq3", "float", "[[0.0,1,2]]", "malformed_edge"),
+    ("degseq3", "bool", "[[false,1,2]]", "malformed_edge"),
+    ("degseq3", "range", "[[0,1,3]]", "malformed_edge"),
+    ("degseq3", "order", "[[0,1,2],[0,1,2]]", "edges_out_of_order"),
+    ("degseq2", "valid", "[[0,1],[0,2],[0,3],[1,2],[1,4],[3,4]]", None),
+    ("degseq2", "empty", "[]", "degree_mismatch"),
+    ("degseq2", "descending", "[[1,0]]", "malformed_edge"),
+    ("degseq2", "width", "[[0,1,2]]", "malformed_edge"),
+    ("degseq2", "float", "[[0.0,1]]", "malformed_edge"),
+    ("degseq2", "bool", "[[false,1]]", "malformed_edge"),
+    ("degseq2", "range", "[[0,5]]", "malformed_edge"),
+    ("degseq2", "order", "[[0,2],[0,1]]", "edges_out_of_order"),
+    ("zero", "valid", "[[0,1,2],[0,3,4]]", None),
+    ("zero", "empty", "[]", "degree_mismatch"),
+    ("zero", "descending", "[[2,1,0],[0,3,4]]", "malformed_edge"),
+    ("zero", "width", "[[0,1],[0,3,4]]", "malformed_edge"),
+    ("zero", "float", "[[0.0,1,2],[0,3,4]]", "malformed_edge"),
+    ("zero", "bool", "[[false,1,2],[0,3,4]]", "malformed_edge"),
+    ("zero", "range", "[[0,1,2],[0,3,5]]", "malformed_edge"),
+    ("zero", "order", "[[0,3,4],[0,1,2]]", "edges_out_of_order"),
+    ("zero", "nonzero", "[[0,1,3],[0,2,4]]", "edge_outside_zero_set"),
+    ("partition", "valid", "[[0,2,5],[1,3,4]]", None),
+    ("partition", "partial", "[[0,2,5]]", "degree_mismatch"),
+    ("partition", "descending", "[[5,2,0],[1,3,4]]", "malformed_edge"),
+    ("partition", "width", "[[0,2],[1,3,4]]", "malformed_edge"),
+    ("partition", "float", "[[0.0,2,5],[1,3,4]]", "malformed_edge"),
+    ("partition", "bool", "[[false,2,5],[1,3,4]]", "malformed_edge"),
+    ("partition", "range", "[[0,2,5],[1,3,6]]", "malformed_edge"),
+    ("partition", "order", "[[1,3,4],[0,2,5]]", "edges_out_of_order"),
+    ("partition", "value", "[[0,1,2],[3,4,5]]", "edge_value_mismatch"),
+]
+
+
+def _run_verify(capsys, tmp_path, instance, certificate):
+    (tmp_path / "inst.json").write_text(_VERIFY_INSTANCES[instance][0])
+    (tmp_path / "cert.json").write_text(certificate)
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--instance", str(tmp_path / "inst.json"),
+        "--certificate", str(tmp_path / "cert.json"),
+    )
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "instance, edges, reason",
+    [pytest.param(i, e, r, id=f"{i}-{label}") for i, label, e, r in _VERIFY_TABLE],
+)
+def test_verify_reason_table(capsys, tmp_path, instance, edges, reason):
+    kind = _VERIFY_INSTANCES[instance][1]
+    cert = f'{{"certificate":"{kind}","edges":{edges}}}'
+    code, out = _run_verify(capsys, tmp_path, instance, cert)
+    if reason is None:
+        assert (code, out) == (0, '{"valid":true,"reason":null}\n')
+    else:
+        assert (code, out) == (1, f'{{"valid":false,"reason":"{reason}"}}\n')
+
+
+@pytest.mark.parametrize("instance", sorted(_VERIFY_INSTANCES))
+@pytest.mark.parametrize(
+    "document",
+    ["not_object", "unknown_kind", "edges_not_list", "kind_mismatch"],
+)
+def test_verify_document_fault_exit_2(capsys, tmp_path, instance, document):
+    _, kind, other = _VERIFY_INSTANCES[instance]
+    cert = {
+        "not_object": f'[{{"certificate":"{kind}","edges":[]}}]',
+        "unknown_kind": '{"certificate":"matching","edges":[]}',
+        "edges_not_list": f'{{"certificate":"{kind}","edges":5}}',
+        "kind_mismatch": f'{{"certificate":"{other}","edges":[]}}',
+    }[document]
+    assert _run_verify(capsys, tmp_path, instance, cert) == (2, "")
+
+
 class TestOracle:
     def test_yes(self, capsys):
         code, doc = out_json(capsys, "oracle", "--input", str(GOLDENS / "degseq_yes.json"))

@@ -166,6 +166,11 @@ class TestParseInstance:
             parse_instance('{"problem":"degseq","k":3,"d":[-1]}')
         assert err.value.field == "d"
 
+    def test_negative_b_named_field(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance('{"problem":"three_partition","a":[1,1,1],"b":-3}')
+        assert err.value.field == "b"
+
     def test_missing_field(self):
         with pytest.raises(ParseError) as err:
             parse_instance('{"problem":"degseq","k":3}')
@@ -236,12 +241,17 @@ class TestCertificates:
         assert doc.edges == g.edges
 
     def test_rejects_unsorted_list(self):
-        with pytest.raises(ParseError):
-            parse_certificate('{"certificate":"hypergraph","edges":[[0,1,3],[0,1,2]]}')
+        # the parser passes edges on unjudged; the verifier rejects them
+        doc = parse_certificate('{"certificate":"hypergraph","edges":[[0,1,3],[0,1,2]]}')
+        check = verify_certificate(doc.edges, DegreeSequence((2, 2, 1, 1)))
+        assert not check
+        assert check.reason == "edges_out_of_order"
 
     def test_rejects_descending_triple(self):
-        with pytest.raises(ParseError):
-            parse_certificate('{"certificate":"hypergraph","edges":[[2,1,0]]}')
+        doc = parse_certificate('{"certificate":"hypergraph","edges":[[2,1,0]]}')
+        check = verify_certificate(doc.edges, DegreeSequence((1, 1, 1)))
+        assert not check
+        assert check.reason == "malformed_edge"
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
