@@ -4,37 +4,36 @@ Every invocation prints one JSON result document to stdout and diagnostics
 to stderr. Exit codes: 0 = YES (or valid/graphical/success), 1 = NO (or
 an invalid certificate), 2 = usage error or an invalid document, 3 =
 UNKNOWN (node budget exhausted), 4 = internal error (a bug, never an answer).
+
+Each invocation is a fresh process, so start-up is most of a call's time.
+Only what every command runs (core, reduction, workbench) is imported at
+the top. graph and solver are imported inside the commands that run them,
+so `decide` on a k = 2 instance never loads the search engine and `gen`,
+`reduce` and `verify` on a degseq certificate load neither; traceback is
+imported on the exit-4 path only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Sequence, TypeVar, Union
 
-from .core import DegreeSequence, Int64OverflowError, verify_certificate
-from .graph import eg_check, graph_bruteforce, hh_realize, verify_graph_certificate
+from .core import (
+    DEFAULT_BUDGET,
+    DecisionOutcome,
+    DegreeSequence,
+    Int64OverflowError,
+    SearchStats,
+    verify_certificate,
+)
 from .reduction import (
     DegSeqInstance,
     ZeroWeightInstance,
     reduce_partition_to_zero,
     reduce_zero_to_degseq,
-)
-from .solver import (
-    DEFAULT_BUDGET,
-    DecisionOutcome,
-    SearchStats,
-    bruteforce_degseq,
-    bruteforce_partition,
-    bruteforce_zero,
-    decide_degseq,
-    decide_partition,
-    decide_zero,
-    verify_partition_certificate,
-    verify_zero_certificate,
 )
 from .workbench import (
     ParseError,
@@ -80,6 +79,8 @@ def _decide_graph(d: DegreeSequence) -> DecisionOutcome:
     eg_check is a cross-check; a disagreement is a bug, never an answer,
     so it raises RuntimeError (exit code 4).
     """
+    from .graph import eg_check, hh_realize
+
     started = perf_counter()
     realization = hh_realize(d)
     answer = "YES" if realization is not None else "NO"
@@ -95,12 +96,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         raise _CliError(f"--k {args.k} does not match the instance in {args.input}")
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
         outcome = _decide_graph(inst.d)
-    elif isinstance(inst, DegSeqInstance):
-        outcome = decide_degseq(inst.d, budget=args.budget)
-    elif isinstance(inst, ZeroWeightInstance):
-        outcome = decide_zero(inst, budget=args.budget)
     else:
-        outcome = decide_partition(inst, budget=args.budget)
+        from . import solver
+
+        if isinstance(inst, DegSeqInstance):
+            outcome = solver.decide_degseq(inst.d, budget=args.budget)
+        elif isinstance(inst, ZeroWeightInstance):
+            outcome = solver.decide_zero(inst, budget=args.budget)
+        else:
+            outcome = solver.decide_partition(inst, budget=args.budget)
     _emit(result_document(outcome))
     if args.certificate_out and outcome.certificate is not None:
         Path(args.certificate_out).write_text(
@@ -140,21 +144,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
         if cert.kind != "graph":
             raise _CliError("a k = 2 instance needs a 'graph' certificate")
+        from .graph import verify_graph_certificate
+
         check = verify_graph_certificate(cert.edges, inst.d)
     else:
         if cert.kind != "hypergraph":
             raise _CliError(f"instance in {args.instance} needs a 'hypergraph' certificate")
         if isinstance(inst, DegSeqInstance):
             check = verify_certificate(cert.edges, inst.d)
-        elif isinstance(inst, ZeroWeightInstance):
-            check = verify_zero_certificate(cert.edges, inst)
         else:
-            check = verify_partition_certificate(cert.edges, inst)
+            from . import solver
+
+            if isinstance(inst, ZeroWeightInstance):
+                check = solver.verify_zero_certificate(cert.edges, inst)
+            else:
+                check = solver.verify_partition_certificate(cert.edges, inst)
     _emit({"valid": check.ok, "reason": check.reason})
     return 0 if check.ok else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .graph import graph_bruteforce
+    from .solver import bruteforce_degseq, bruteforce_partition, bruteforce_zero
+
     inst = _load(args.input, parse_instance)
     started = perf_counter()
     if isinstance(inst, DegSeqInstance):
@@ -260,6 +272,8 @@ def cli_main(argv: Union[Sequence[str], None] = None) -> int:
         return 2
     except Exception as exc:
         # anything else is a bug; it must not read as YES, NO or UNKNOWN
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -19,14 +19,32 @@ signed 64-bit range: a result outside [-2^63, 2^63 - 1] raises
 Int64OverflowError. Python ints never wrap, so the explicit check is what
 enforces the 64-bit contract.
 
+Every value type in the library is a _Record: one small frozen base with
+a hand-written __init__ per class, class-sensitive equality and hashing,
+and a dataclass-style repr, without the cost of importing dataclasses.
+The records every decider returns, DecisionOutcome and SearchStats, live
+here beside CertificateCheck, so the k = 2 path needs no search engine.
+
 Everything here is an immutable value; all operations are pure functions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Iterable,
+    Iterator,
+    Literal,
+    Sequence,
+    Union,
+)
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -147,23 +165,66 @@ def check_edges(
     return tuple(canon), tuple(counts)
 
 
-@dataclass(frozen=True)
-class _EdgeSet:
+# writes one field of a _Record past its frozen __setattr__
+_set_field = object.__setattr__
+
+
+class _Record:
+    """An immutable value: the one frozen-record base of the library.
+
+    A subclass lists its fields in _fields and sets them in its own
+    __init__ with _set_field. Equality and hashing go by the class and the
+    field values, and repr shows the fields, as a frozen dataclass's would.
+    """
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # imported on this error path only: dataclasses pulls in inspect and ast
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _EdgeSet(_Record):
     """A strictly increasing edge list on [n] with its counted degrees.
 
-    Subclasses set only their edge parser and kind; equality compares the class.
+    Subclasses set only their edge parser and kind; equality compares the
+    class, and degrees, derived from the edges, is not a field.
     """
 
     n: int
-    edges: tuple[tuple[int, ...], ...] = ()
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edges: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+    _fields = ("n", "edges")
     _parse: ClassVar[Callable[[Sequence[int], int], tuple]]
     kind: ClassVar[str]
 
-    def __post_init__(self) -> None:
-        edges, degrees = check_edges(self.edges, self.n, self._parse)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "degrees", degrees)
+    def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
+        edges, degrees = check_edges(edges, n, self._parse)
+        _set_field(self, "n", n)
+        _set_field(self, "edges", edges)
+        _set_field(self, "degrees", degrees)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]):
@@ -184,20 +245,19 @@ class Hypergraph(_EdgeSet):
     kind = "hypergraph"
 
 
-@dataclass(frozen=True)
-class _IntVector:
+class _IntVector(_Record):
     """An integer vector of length n, checked by check_ints in one pass.
 
     Subclasses set only its label and floor; equality compares the class.
     """
 
     values: tuple[int, ...]
+    _fields = ("values",)
     _label: ClassVar[str]
     _nonnegative: ClassVar[bool]
 
-    def __post_init__(self) -> None:
-        vals = check_ints(self.values, self._label, self._nonnegative)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Iterable[int]) -> None:
+        _set_field(self, "values", check_ints(values, self._label, self._nonnegative))
 
     @property
     def n(self) -> int:
@@ -227,32 +287,83 @@ class WeightVector(_IntVector):
     _nonnegative = False
 
 
-@dataclass(frozen=True)
-class SignPartition:
+class SignPartition(_Record):
     """All triples of [n] split by the sign of their weight sum."""
 
     s_minus: Hypergraph
     s_zero: Hypergraph
     s_plus: Hypergraph
+    _fields = ("s_minus", "s_zero", "s_plus")
 
-    def __post_init__(self) -> None:
-        if not (self.s_minus.n == self.s_zero.n == self.s_plus.n):
+    def __init__(self, s_minus: Hypergraph, s_zero: Hypergraph, s_plus: Hypergraph) -> None:
+        if not (s_minus.n == s_zero.n == s_plus.n):
             raise GroundSetMismatchError("sign partition parts disagree on n")
+        _set_field(self, "s_minus", s_minus)
+        _set_field(self, "s_zero", s_zero)
+        _set_field(self, "s_plus", s_plus)
 
     @property
     def n(self) -> int:
         return self.s_zero.n
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(_Record):
     """Outcome of a certificate verification; falsy iff the check failed."""
 
     ok: bool
-    reason: Union[str, None] = None
+    reason: Union[str, None]
+    _fields = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: Union[str, None] = None) -> None:
+        _set_field(self, "ok", ok)
+        _set_field(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# the node budget of every decider, and of `hyperdeg decide` without --budget
+DEFAULT_BUDGET = 10_000_000
+
+Answer = Literal["YES", "NO", "UNKNOWN"]
+
+
+class SearchStats(_Record):
+    """Work behind one answer: nodes expanded, wall millis, share of the budget."""
+
+    nodes: int
+    millis: int
+    budget_used: float
+    _fields = ("nodes", "millis", "budget_used")
+
+    def __init__(self, nodes: int, millis: int, budget_used: float) -> None:
+        _set_field(self, "nodes", nodes)
+        _set_field(self, "millis", millis)
+        _set_field(self, "budget_used", budget_used)
+
+
+class DecisionOutcome(_Record):
+    """An answer with its YES certificate (a Hypergraph, or a Graph for k = 2)."""
+
+    answer: Answer
+    certificate: Union[Hypergraph, Graph, None]
+    stats: SearchStats
+    # a NO by the polytope layer: y with y.d > sum_e max(0, y(e)) over the
+    # decider's candidate triples (verify_separator); None otherwise
+    separator: Union[tuple[int, ...], None]
+    _fields = ("answer", "certificate", "stats", "separator")
+
+    def __init__(
+        self,
+        answer: Answer,
+        certificate: Union[Hypergraph, Graph, None],
+        stats: SearchStats,
+        separator: Union[tuple[int, ...], None] = None,
+    ) -> None:
+        _set_field(self, "answer", answer)
+        _set_field(self, "certificate", certificate)
+        _set_field(self, "stats", stats)
+        _set_field(self, "separator", separator)
 
 
 def enumerate_triples(n: int) -> list[Triple]:

@@ -34,6 +34,8 @@ from .core import (
     Hypergraph,
     SignPartition,
     WeightVector,
+    _Record,
+    _set_field,
     check_int,
     check_ints,
     checked_dot,
@@ -43,67 +45,69 @@ from .core import (
     sign_partition,
 )
 
-from dataclasses import dataclass
-
 
 class PromiseViolationError(ValueError):
     """An instance violates the stated promise of its problem."""
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
+class ThreePartitionInstance(_Record):
     """Values a and target b, promised to satisfy 3 * sum(a) = n * b."""
 
     a: tuple[int, ...]
     b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", check_ints(self.a, "a", nonnegative=True))
-        check_int(self.b, "b", nonnegative=True)
-        lhs = i64(3 * checked_sum(self.a, "sum of a"), "3 * sum(a)")
-        rhs = i64(self.n * self.b, "n * b")
+    def __init__(self, a: tuple[int, ...], b: int) -> None:
+        a = check_ints(a, "a", nonnegative=True)
+        check_int(b, "b", nonnegative=True)
+        lhs = i64(3 * checked_sum(a, "sum of a"), "3 * sum(a)")
+        rhs = i64(len(a) * b, "n * b")
         if lhs != rhs:
             raise PromiseViolationError(
                 f"promise 3 * sum(a) = n * b violated: {lhs} != {rhs}"
             )
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
 
     @property
     def n(self) -> int:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class ZeroWeightInstance:
+class ZeroWeightInstance(_Record):
     """Weights w and target c, promised to satisfy w.c = 0."""
 
     w: WeightVector
     c: DegreeSequence
+    _fields = ("w", "c")
 
-    def __post_init__(self) -> None:
-        if self.w.n != self.c.n:
-            raise GroundSetMismatchError(
-                f"w has length {self.w.n} but c has length {self.c.n}"
-            )
-        dot = checked_dot(self.w.values, self.c.values, "w.c")
+    def __init__(self, w: WeightVector, c: DegreeSequence) -> None:
+        if w.n != c.n:
+            raise GroundSetMismatchError(f"w has length {w.n} but c has length {c.n}")
+        dot = checked_dot(w.values, c.values, "w.c")
         if dot != 0:
             raise PromiseViolationError(f"promise w.c = 0 violated: w.c = {dot}")
+        _set_field(self, "w", w)
+        _set_field(self, "c", c)
 
     @property
     def n(self) -> int:
         return self.w.n
 
 
-@dataclass(frozen=True)
-class DegSeqInstance:
+class DegSeqInstance(_Record):
     """A realizability query: uniformity k and target degree vector d."""
 
     d: DegreeSequence
-    k: int = 3
+    k: int
+    _fields = ("d", "k")
 
-    def __post_init__(self) -> None:
-        if self.k not in (2, 3):
-            raise ValueError(f"only k in {{2, 3}} is supported, got k = {self.k!r}")
-        check_int(self.k, "k")  # 2.0 == 2, so the membership test alone admits it
+    def __init__(self, d: DegreeSequence, k: int = 3) -> None:
+        if k not in (2, 3):
+            raise ValueError(f"only k in {{2, 3}} is supported, got k = {k!r}")
+        check_int(k, "k")  # 2.0 == 2, so the membership test alone admits it
+        _set_field(self, "d", d)
+        _set_field(self, "k", k)
 
     @property
     def n(self) -> int:

@@ -56,17 +56,20 @@ they scan subsets by bitmask popcounts in core.exists_subset_with_degrees
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from time import perf_counter
-from typing import Callable, Literal, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import (
+    DEFAULT_BUDGET,
+    Answer,
     CertificateCheck,
+    DecisionOutcome,
     DegreeSequence,
     EdgeListError,
     Hypergraph,
     InstanceTooLargeError,
+    SearchStats,
     Triple,
     check_int,
     checked_sum,
@@ -76,32 +79,11 @@ from .core import (
     verify_certificate,
     verify_separator,
 )
-from .graph import Graph
 from .reduction import ThreePartitionInstance, ZeroWeightInstance, reduce_partition_to_zero
 
-DEFAULT_BUDGET = 10_000_000
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
 ALLOWANCE = 500
-
-Answer = Literal["YES", "NO", "UNKNOWN"]
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    millis: int
-    budget_used: float
-
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    answer: Answer
-    certificate: Union[Hypergraph, Graph, None]
-    stats: SearchStats
-    # a NO by the polytope layer: y with y.d > sum_e max(0, y(e)) over the
-    # decider's candidate triples (core.verify_separator); None otherwise
-    separator: Union[tuple[int, ...], None] = None
 
 
 def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:

@@ -32,27 +32,29 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .core import (
+    DecisionOutcome,
     DegreeSequence,
     Hypergraph,
     Int64OverflowError,
     WeightVector,
+    _Record,
+    _set_field,
     check_int,
     degree_sum,
     enumerate_triples,
 )
-from .graph import Graph
 from .reduction import (
     DegSeqInstance,
     PromiseViolationError,
     ThreePartitionInstance,
     ZeroWeightInstance,
 )
-from .solver import DecisionOutcome
 
-from dataclasses import dataclass
+if TYPE_CHECKING:
+    from .graph import Graph
 
 Instance = Union[DegSeqInstance, ZeroWeightInstance, ThreePartitionInstance]
 
@@ -276,8 +278,7 @@ def serialize_instance(inst: Instance) -> str:
     return dump_document(instance_document(inst))
 
 
-@dataclass(frozen=True)
-class CertificateDoc:
+class CertificateDoc(_Record):
     """Parsed certificate file: kind 'hypergraph' (triples) or 'graph' (pairs).
 
     Edges are as read and unjudged: list entries as tuples, others unchanged.
@@ -285,6 +286,11 @@ class CertificateDoc:
 
     kind: str
     edges: tuple[Any, ...]
+    _fields = ("kind", "edges")
+
+    def __init__(self, kind: str, edges: tuple[Any, ...]) -> None:
+        _set_field(self, "kind", kind)
+        _set_field(self, "edges", edges)
 
 
 def parse_certificate(text: str) -> CertificateDoc:

@@ -8,6 +8,7 @@ import pytest
 
 import hyperdeg
 import hyperdeg.cli
+import hyperdeg.graph
 import hyperdeg.solver
 from hyperdeg.cli import cli_main
 
@@ -61,7 +62,7 @@ class TestDecide:
         def broken(d, budget):
             raise RuntimeError("engine bug")
 
-        monkeypatch.setattr(hyperdeg.cli, "decide_degseq", broken)
+        monkeypatch.setattr(hyperdeg.solver, "decide_degseq", broken)
         code, out, err = run(capsys, "decide", "--input", str(GOLDENS / "degseq_yes.json"))
         assert code == 4
         assert out == ""
@@ -141,7 +142,7 @@ class TestDecide:
     ):
         # Havel-Hakimi decides; Erdos-Gallai is a cross-check, and a
         # disagreement is a bug, never a YES without a certificate
-        monkeypatch.setattr(hyperdeg.cli, name, stub)
+        monkeypatch.setattr(hyperdeg.graph, name, stub)
         inst = tmp_path / "k2.json"
         inst.write_text('{"problem":"degseq","k":2,"d":[1,1]}\n')
         code, out, err = run(capsys, command, "--input", str(inst))
@@ -555,3 +556,51 @@ def test_import_leaves_polytope_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "False\n"
+
+
+# Modules whose loading a CLI process must not pay for unless its command
+# runs them: dataclasses and traceback cost start-up, numpy serves only the
+# brute-force oracles, the polytope layer loads only when a search outlasts
+# its allowance, and solver and graph belong to the commands that run them.
+_WATCHED = (
+    "dataclasses", "traceback", "numpy", "hyperdeg.polytope", "hyperdeg.solver", "hyperdeg.graph"
+)
+_PROBE = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "from hyperdeg.cli import cli_main\n"
+    "code = cli_main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        ((), ()),
+        (("gen", "--problem", "degseq", "--n", "5", "--m", "3", "--seed", "1"), ()),
+        (("reduce", "--from", "three_partition", "--to", "degseq",
+          "--input", "three_partition_6.json"), ()),
+        (("verify", "--instance", "degseq_yes.json", "--certificate", "{cert}"), ()),
+        (("decide", "--input", "degseq_yes.json"), ("hyperdeg.solver",)),
+        (("decide", "--k", "2", "--input", "graph_k2.json"), ("hyperdeg.graph",)),
+    ],
+    ids=["import", "gen", "reduce", "verify", "decide", "decide-k2"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, loads):
+    # a fresh process per command, as the CLI runs; a stray top-level import
+    # in the package shows here rather than only as slower start-up
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"certificate":"hypergraph","edges":[[0,1,2]]}\n')
+    src = Path(hyperdeg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    args = [a.format(cert=cert) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *args],
+        cwd=GOLDENS, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert {"hyperdeg.core", "hyperdeg.reduction", "hyperdeg.workbench"} <= loaded
+    assert sorted(loaded.intersection(_WATCHED)) == sorted(loads)

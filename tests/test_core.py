@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from dataclasses import FrozenInstanceError
 from math import comb
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperdeg
 from hyperdeg import (
+    CertificateCheck,
+    DecisionOutcome,
     DegreeSequence,
     DegSeqInstance,
     GroundSetMismatchError,
     Hypergraph,
     Int64OverflowError,
+    SearchStats,
     SignPartition,
     ThreePartitionInstance,
     WeightVector,
@@ -29,6 +34,7 @@ from hyperdeg import (
 )
 from hyperdeg.core import I64_MAX, I64_MIN, EdgeListError, checked_dot, checked_sum, i64
 from hyperdeg.graph import Graph
+from hyperdeg.workbench import CertificateDoc
 
 from conftest import all_triples, hypergraphs, weight_vectors
 
@@ -216,6 +222,100 @@ class TestValueTypes:
         h = Hypergraph(3, ((0, 1, 2),))
         with pytest.raises(FrozenInstanceError):
             h.n = 5
+
+
+_H = Hypergraph(3, ((0, 1, 2),))
+_D = DegreeSequence((1, 1, 1))
+_STATS = SearchStats(nodes=1, millis=2, budget_used=0.5)
+
+# Every record type: keyword arguments, and its repr as frozen dataclasses
+# printed it; construction by keyword and by position must agree.
+_RECORDS = {
+    "Hypergraph": (Hypergraph, {"n": 3, "edges": ((0, 1, 2),)},
+                   "Hypergraph(n=3, edges=((0, 1, 2),))"),
+    "Graph": (Graph, {"n": 2, "edges": ((0, 1),)}, "Graph(n=2, edges=((0, 1),))"),
+    "DegreeSequence": (DegreeSequence, {"values": (1, 1, 1)},
+                       "DegreeSequence(values=(1, 1, 1))"),
+    "WeightVector": (WeightVector, {"values": (1, -2)}, "WeightVector(values=(1, -2))"),
+    "SignPartition": (
+        SignPartition,
+        {"s_minus": Hypergraph(3), "s_zero": _H, "s_plus": Hypergraph(3)},
+        "SignPartition(s_minus=Hypergraph(n=3, edges=()), "
+        "s_zero=Hypergraph(n=3, edges=((0, 1, 2),)), s_plus=Hypergraph(n=3, edges=()))",
+    ),
+    "CertificateCheck": (CertificateCheck, {"ok": False, "reason": "x"},
+                         "CertificateCheck(ok=False, reason='x')"),
+    "SearchStats": (SearchStats, {"nodes": 1, "millis": 2, "budget_used": 0.5},
+                    "SearchStats(nodes=1, millis=2, budget_used=0.5)"),
+    "DecisionOutcome": (
+        DecisionOutcome,
+        {"answer": "NO", "certificate": None, "stats": _STATS, "separator": (1, -1)},
+        "DecisionOutcome(answer='NO', certificate=None, "
+        "stats=SearchStats(nodes=1, millis=2, budget_used=0.5), separator=(1, -1))",
+    ),
+    "ThreePartitionInstance": (ThreePartitionInstance, {"a": (1, 1, 1), "b": 3},
+                               "ThreePartitionInstance(a=(1, 1, 1), b=3)"),
+    "ZeroWeightInstance": (
+        ZeroWeightInstance,
+        {"w": WeightVector((1, -1)), "c": DegreeSequence((2, 2))},
+        "ZeroWeightInstance(w=WeightVector(values=(1, -1)), c=DegreeSequence(values=(2, 2)))",
+    ),
+    "DegSeqInstance": (DegSeqInstance, {"d": _D, "k": 2},
+                       "DegSeqInstance(d=DegreeSequence(values=(1, 1, 1)), k=2)"),
+    "CertificateDoc": (CertificateDoc, {"kind": "graph", "edges": ((0, 1),)},
+                       "CertificateDoc(kind='graph', edges=((0, 1),))"),
+}
+
+
+@pytest.mark.parametrize("cls, kwargs, text", _RECORDS.values(), ids=list(_RECORDS))
+class TestRecordContract:
+    def test_keyword_and_positional_agree(self, cls, kwargs, text):
+        value = cls(**kwargs)
+        assert value == cls(*kwargs.values())
+        assert [getattr(value, k) for k in kwargs] == list(kwargs.values())
+
+    def test_repr(self, cls, kwargs, text):
+        assert repr(cls(**kwargs)) == text
+
+    def test_equal_values_equal_hashes(self, cls, kwargs, text):
+        a, b = cls(**kwargs), cls(**kwargs)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != object()
+
+    def test_frozen(self, cls, kwargs, text):
+        value = cls(**kwargs)
+        for name in kwargs:
+            with pytest.raises(FrozenInstanceError, match="cannot assign"):
+                setattr(value, name, None)
+            with pytest.raises(FrozenInstanceError, match="cannot delete"):
+                delattr(value, name)
+        assert repr(value) == text
+
+
+def test_record_equality_compares_the_class():
+    assert DegreeSequence((1, 2)) != WeightVector((1, 2))
+    assert Hypergraph(3) != Graph(3)
+    assert Hypergraph(3) == Hypergraph(3, ())
+    assert len({Hypergraph(3), Hypergraph(3, ()), Graph(3)}) == 2
+
+
+def test_record_defaults():
+    assert Hypergraph(3).edges == ()
+    assert DegSeqInstance(_D).k == 3
+    assert CertificateCheck(True).reason is None
+    assert DecisionOutcome("YES", _H, _STATS).separator is None
+
+
+def test_package_names_load_on_first_use():
+    # `import hyperdeg` maps each name to its module; every one resolves to
+    # the object its module defines, and dir() lists them before first use
+    assert set(hyperdeg.__all__) <= set(dir(hyperdeg))
+    for name in hyperdeg.__all__:
+        module = importlib.import_module(f"hyperdeg.{hyperdeg._MODULE_OF[name]}")
+        assert getattr(hyperdeg, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hyperdeg.no_such_name
 
 
 _ZERO = ZeroWeightInstance(WeightVector((1, -1)), DegreeSequence((1, 1)))
