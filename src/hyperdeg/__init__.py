@@ -33,7 +33,13 @@ _MODULE_OF = {
             "verify_separator",
             "weighted_value",
         ),
-        "graph": ("Graph", "eg_check", "graph_bruteforce", "hh_realize"),
+        "graph": ("Graph", "eg_check", "hh_realize"),
+        "oracle": (
+            "bruteforce_degseq",
+            "bruteforce_partition",
+            "bruteforce_zero",
+            "graph_bruteforce",
+        ),
         "reduction": (
             "DegSeqInstance",
             "PromiseViolationError",
@@ -46,17 +52,14 @@ _MODULE_OF = {
             "reduce_partition_to_degseq",
             "reduce_partition_to_zero",
             "reduce_zero_to_degseq",
+            "verify_partition_certificate",
+            "verify_zero_certificate",
         ),
         "solver": (
-            "bruteforce_degseq",
-            "bruteforce_partition",
-            "bruteforce_zero",
             "decide_degseq",
             "decide_partition",
             "decide_zero",
             "prefilter_degseq",
-            "verify_partition_certificate",
-            "verify_zero_certificate",
         ),
         "workbench": (
             "ParseError",

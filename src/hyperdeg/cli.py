@@ -7,10 +7,10 @@ UNKNOWN (node budget exhausted), 4 = internal error (a bug, never an answer).
 
 Each invocation is a fresh process, so start-up is most of a call's time.
 Only what every command runs (core, reduction, workbench) is imported at
-the top. graph and solver are imported inside the commands that run them,
-so `decide` on a k = 2 instance never loads the search engine and `gen`,
-`reduce` and `verify` on a degseq certificate load neither; traceback is
-imported on the exit-4 path only.
+the top. graph, solver and oracle are imported inside the commands that
+run them, so `decide` on k = 2 never loads the search engine and `gen`,
+`reduce` and `verify` on a k = 3 instance load none of the three;
+traceback is imported on the exit-4 path only.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .reduction import (
     ZeroWeightInstance,
     reduce_partition_to_zero,
     reduce_zero_to_degseq,
+    verify_partition_certificate,
+    verify_zero_certificate,
 )
 from .workbench import (
     ParseError,
@@ -152,20 +154,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise _CliError(f"instance in {args.instance} needs a 'hypergraph' certificate")
         if isinstance(inst, DegSeqInstance):
             check = verify_certificate(cert.edges, inst.d)
+        elif isinstance(inst, ZeroWeightInstance):
+            check = verify_zero_certificate(cert.edges, inst)
         else:
-            from . import solver
-
-            if isinstance(inst, ZeroWeightInstance):
-                check = solver.verify_zero_certificate(cert.edges, inst)
-            else:
-                check = solver.verify_partition_certificate(cert.edges, inst)
+            check = verify_partition_certificate(cert.edges, inst)
     _emit({"valid": check.ok, "reason": check.reason})
     return 0 if check.ok else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    from .graph import graph_bruteforce
-    from .solver import bruteforce_degseq, bruteforce_partition, bruteforce_zero
+    from .oracle import bruteforce_degseq, bruteforce_partition, bruteforce_zero, graph_bruteforce
 
     inst = _load(args.input, parse_instance)
     started = perf_counter()

@@ -7,8 +7,7 @@ edge is recoverable as the indicator vector of {i, j, k}.
 
 Hypergraph and graph.Graph share one edge-set base, _EdgeSet, and differ
 only in their edge parser and wire kind. check_edges is the one edge-list
-check, behind both and every certificate verifier; exists_subset_with_degrees
-is the one brute-force enumerator, for any arity, behind every oracle.
+check, behind both and every certificate verifier.
 
 check_int is the one rule for every integer the library accepts (check_ints
 for a vector, in one pass); the edge parsers inline its type test.
@@ -409,38 +408,6 @@ def sign_partition(w: WeightVector) -> SignPartition:
         s_zero=Hypergraph(n, tuple(zero)),
         s_plus=Hypergraph(n, tuple(pos)),
     )
-
-
-def exists_subset_with_degrees(
-    n: int, candidates: Sequence[Sequence[int]], target: Sequence[int]
-) -> bool:
-    """Exhaustively test all 2^len(candidates) subsets for degree vector target.
-
-    Any arity: edge e sets bit e in the mask of each of its vertices, so
-    subset code s has degree popcount(s & mask_v) at v. Vectorized in chunks;
-    exact, no pruning beyond the fact that no degree can exceed the edge count.
-    """
-    import numpy as np  # only the oracles need it; keeps `import hyperdeg` light
-
-    m = len(candidates)
-    tgt = [int(x) for x in target]
-    if any(x < 0 or x > m for x in tgt):
-        return False
-    masks = [0] * n
-    for e, edge in enumerate(candidates):
-        for v in edge:
-            masks[v] |= 1 << e
-    chunk = 1 << 16
-    for lo in range(0, 1 << m, chunk):
-        codes = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.uint32)
-        ok = np.ones(codes.shape, dtype=bool)
-        for v in range(n):
-            ok &= np.bitwise_count(codes & np.uint32(masks[v])) == tgt[v]
-            if not ok.any():
-                break
-        if ok.any():
-            return True
-    return False
 
 
 def verify_certificate(

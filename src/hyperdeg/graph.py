@@ -1,26 +1,22 @@
-"""The k = 2 case: graphical degree sequences, decided three ways.
+"""The k = 2 case: graphical degree sequences.
 
 hh_realize runs the Havel-Hakimi construction and returns an actual
 realization; the CLI decides k = 2 by it, in `decide` and `graph-check`.
 eg_check evaluates the Erdos-Gallai inequality family in its two-index
-(j, l) form and is the cross-check the CLI asserts. graph_bruteforce
-scans every labeled graph on [n] (n <= 7) with the hypergraph oracles'
-enumerator, core.exists_subset_with_degrees, and is the ground truth both
-are measured against. Graphs are the arity-2 case: Graph is Hypergraph's
-edge-set base with the pair parser _validate_pair and the kind "graph".
+(j, l) form and is the cross-check the CLI asserts. Both are measured
+against oracle.graph_bruteforce. Graphs are the arity-2 case: Graph is
+Hypergraph's edge-set base with the pair parser _validate_pair and the
+kind "graph".
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence, Union
 
 from .core import (
     CertificateCheck,
     DegreeSequence,
-    InstanceTooLargeError,
     _EdgeSet,
-    exists_subset_with_degrees,
     verify_edges,
 )
 
@@ -101,14 +97,6 @@ def hh_realize(d: DegreeSequence) -> Union[Graph, None]:
             edges.append((v, u) if v < u else (u, v))
     edges.sort()
     return Graph(n, tuple(edges))
-
-
-def graph_bruteforce(d: DegreeSequence) -> bool:
-    """Ground truth for graphicality by exhausting all graphs on [n], n <= 7."""
-    n = d.n
-    if n > 7:
-        raise InstanceTooLargeError(f"graph brute force limited to n <= 7, got n = {n}")
-    return exists_subset_with_degrees(n, list(combinations(range(n), 2)), d.values)
 
 
 def verify_graph_certificate(

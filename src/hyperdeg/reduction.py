@@ -1,4 +1,4 @@
-"""Polynomial reductions between the three decision problems.
+"""The three decision problems: instances, reductions, certificate checks.
 
 The chain runs 3-partition -> zero-weight selection -> degree-sequence
 realizability:
@@ -25,9 +25,10 @@ rejected at instance construction, never NO answers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence, Union
 
 from .core import (
+    CertificateCheck,
     CertificateError,
     DegreeSequence,
     GroundSetMismatchError,
@@ -43,6 +44,7 @@ from .core import (
     degree_sum,
     i64,
     sign_partition,
+    verify_certificate,
 )
 
 
@@ -112,6 +114,34 @@ class DegSeqInstance(_Record):
     @property
     def n(self) -> int:
         return self.d.n
+
+
+def verify_zero_certificate(
+    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ZeroWeightInstance
+) -> CertificateCheck:
+    """Check a zero-weight certificate: well-formed, degrees c, all w.x = 0."""
+    base = verify_certificate(edges, inst.c)
+    if not base:
+        return base
+    w = inst.w.values
+    for i, j, k in edges:
+        if w[i] + w[j] + w[k] != 0:
+            return CertificateCheck(False, "edge_outside_zero_set")
+    return CertificateCheck(True)
+
+
+def verify_partition_certificate(
+    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ThreePartitionInstance
+) -> CertificateCheck:
+    """Check a 3-partition certificate: covers every index once, a-values b."""
+    base = verify_certificate(edges, DegreeSequence((1,) * inst.n))
+    if not base:
+        return base
+    a = inst.a
+    for i, j, k in edges:
+        if a[i] + a[j] + a[k] != inst.b:
+            return CertificateCheck(False, "edge_value_mismatch")
+    return CertificateCheck(True)
 
 
 class Reduction(NamedTuple):

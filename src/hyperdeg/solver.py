@@ -46,16 +46,10 @@ backtrack restores two ints. Each node checks only the rules its branch
 could have broken, which is exact because its parent passed them all.
 tests/goldens/engine.json pins its answers, certificates, and node
 counts (regenerated by scripts/engine_golden.py).
-
-The brute-force oracles at the bottom exist to catch bugs in everything
-above them, so they still share no engine code, degree_sum or check_edges:
-they scan subsets by bitmask popcounts in core.exists_subset_with_degrees
-(as graph.graph_bruteforce does), or enumerate perfect triple partitions.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from time import perf_counter
 from typing import Callable, Sequence, Union
@@ -68,18 +62,21 @@ from .core import (
     DegreeSequence,
     EdgeListError,
     Hypergraph,
-    InstanceTooLargeError,
     SearchStats,
     Triple,
     check_int,
     checked_sum,
     enumerate_triples,
-    exists_subset_with_degrees,
     i64,
     verify_certificate,
     verify_separator,
 )
-from .reduction import ThreePartitionInstance, ZeroWeightInstance, reduce_partition_to_zero
+from .reduction import (
+    ThreePartitionInstance,
+    ZeroWeightInstance,
+    reduce_partition_to_zero,
+    verify_zero_certificate,
+)
 
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
@@ -371,89 +368,3 @@ def decide_partition(
     3 either, so the engine answers NO at 0 nodes.
     """
     return decide_zero(reduce_partition_to_zero(inst), budget)
-
-
-def verify_zero_certificate(
-    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ZeroWeightInstance
-) -> CertificateCheck:
-    """Check a zero-weight certificate: well-formed, degrees c, all w.x = 0."""
-    base = verify_certificate(edges, inst.c)
-    if not base:
-        return base
-    w = inst.w.values
-    for i, j, k in edges:
-        if w[i] + w[j] + w[k] != 0:
-            return CertificateCheck(False, "edge_outside_zero_set")
-    return CertificateCheck(True)
-
-
-def verify_partition_certificate(
-    edges: Union[Hypergraph, Sequence[Sequence[int]]], inst: ThreePartitionInstance
-) -> CertificateCheck:
-    """Check a 3-partition certificate: covers every index once, a-values b."""
-    base = verify_certificate(edges, DegreeSequence((1,) * inst.n))
-    if not base:
-        return base
-    a = inst.a
-    for i, j, k in edges:
-        if a[i] + a[j] + a[k] != inst.b:
-            return CertificateCheck(False, "edge_value_mismatch")
-    return CertificateCheck(True)
-
-
-def bruteforce_degseq(d: DegreeSequence) -> bool:
-    """Ground truth for realizability by exhausting all triple subsets, n <= 6."""
-    n = d.n
-    if n > 6:
-        raise InstanceTooLargeError(f"degree-sequence brute force limited to n <= 6, got n = {n}")
-    return exists_subset_with_degrees(
-        n, list(itertools.combinations(range(n), 3)), d.values
-    )
-
-
-def bruteforce_zero(inst: ZeroWeightInstance) -> bool:
-    """Ground truth for the zero-weight problem; requires |S0| <= 20.
-
-    Recomputes the zero-weight triples inline rather than reusing the sign
-    partition, to stay independent of the code it checks.
-    """
-    w = inst.w.values
-    candidates = [
-        x
-        for x in itertools.combinations(range(inst.n), 3)
-        if w[x[0]] + w[x[1]] + w[x[2]] == 0
-    ]
-    if len(candidates) > 20:
-        raise InstanceTooLargeError(
-            f"zero-weight brute force limited to |S0| <= 20, got {len(candidates)}"
-        )
-    return exists_subset_with_degrees(inst.n, candidates, inst.c.values)
-
-
-def bruteforce_partition(inst: ThreePartitionInstance) -> bool:
-    """Ground truth for 3-partition by exhausting perfect triple partitions.
-
-    NO outright when 3 does not divide n; enforced n <= 12 (15400 partitions).
-    """
-    n = inst.n
-    if n % 3:
-        return False
-    if n > 12:
-        raise InstanceTooLargeError(f"partition brute force limited to n <= 12, got n = {n}")
-    a = inst.a
-    b = inst.b
-
-    def cover(unused: list[int]) -> bool:
-        if not unused:
-            return True
-        first = unused[0]
-        rest = unused[1:]
-        for second, third in itertools.combinations(rest, 2):
-            if a[first] + a[second] + a[third] != b:
-                continue
-            remaining = [u for u in rest if u != second and u != third]
-            if cover(remaining):
-                return True
-        return False
-
-    return cover(list(range(n)))

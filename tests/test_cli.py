@@ -536,34 +536,14 @@ class TestPipeline:
         assert doc["valid"] is True
 
 
-def test_import_leaves_numpy_unloaded():
-    # numpy serves only the brute-force oracles, so every CLI call skips it
-    src = Path(hyperdeg.__file__).resolve().parent.parent
-    probe = "import sys, hyperdeg.cli; print('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout == "False\n"
-
-
-def test_import_leaves_polytope_unloaded():
-    # the polytope layer loads only when a search outlasts its allowance
-    src = Path(hyperdeg.__file__).resolve().parent.parent
-    probe = "import sys, hyperdeg.cli; print('hyperdeg.polytope' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout == "False\n"
-
-
 # Modules whose loading a CLI process must not pay for unless its command
 # runs them: dataclasses and traceback cost start-up, numpy serves only the
-# brute-force oracles, the polytope layer loads only when a search outlasts
-# its allowance, and solver and graph belong to the commands that run them.
+# degree-vector oracles, the polytope layer loads only when a search outlasts
+# its allowance, and solver, graph and oracle belong to the commands that
+# run them.
 _WATCHED = (
-    "dataclasses", "traceback", "numpy", "hyperdeg.polytope", "hyperdeg.solver", "hyperdeg.graph"
+    "dataclasses", "traceback", "numpy", "hyperdeg.polytope",
+    "hyperdeg.solver", "hyperdeg.graph", "hyperdeg.oracle",
 )
 _PROBE = (
     "import sys\n"
@@ -583,19 +563,35 @@ _PROBE = (
         (("reduce", "--from", "three_partition", "--to", "degseq",
           "--input", "three_partition_6.json"), ()),
         (("verify", "--instance", "degseq_yes.json", "--certificate", "{cert}"), ()),
+        (("verify", "--instance", "three_partition_6.json",
+          "--certificate", "certificate_p6.json"), ()),
+        (("verify", "--instance", "{zero}", "--certificate", "certificate_p6.json"), ()),
         (("decide", "--input", "degseq_yes.json"), ("hyperdeg.solver",)),
         (("decide", "--k", "2", "--input", "graph_k2.json"), ("hyperdeg.graph",)),
+        # bruteforce_partition runs in perfbench set-ups, where numpy would
+        # add to peak RSS, so only the degree-vector oracles load it
+        (("oracle", "--input", "three_partition_6.json"), ("hyperdeg.oracle",)),
+        (("oracle", "--input", "{zero}"), ("hyperdeg.oracle", "numpy")),
+        (("oracle", "--input", "degseq_yes.json"), ("hyperdeg.oracle", "numpy")),
+        (("oracle", "--input", "graph_k2.json"), ("hyperdeg.oracle", "numpy")),
     ],
-    ids=["import", "gen", "reduce", "verify", "decide", "decide-k2"],
+    ids=[
+        "import", "gen", "reduce", "verify", "verify-partition", "verify-zero",
+        "decide", "decide-k2", "oracle-partition", "oracle-zero", "oracle-degseq",
+        "oracle-k2",
+    ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, loads):
     # a fresh process per command, as the CLI runs; a stray top-level import
     # in the package shows here rather than only as slower start-up
     cert = tmp_path / "cert.json"
     cert.write_text('{"certificate":"hypergraph","edges":[[0,1,2]]}\n')
+    # three_partition_6.json reduced to zero-weight; certificate_p6.json certifies it
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"problem":"zero_weight","w":[-8,-5,-2,1,4,10],"c":[1,1,1,1,1,1]}\n')
     src = Path(hyperdeg.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    args = [a.format(cert=cert) for a in argv]
+    args = [a.format(cert=cert, zero=zero) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *args],
         cwd=GOLDENS, env=env, capture_output=True, text=True,
