@@ -107,11 +107,11 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             outcome = solver.decide_zero(inst, budget=args.budget)
         else:
             outcome = solver.decide_partition(inst, budget=args.budget)
-    _emit(result_document(outcome))
     if args.certificate_out and outcome.certificate is not None:
         Path(args.certificate_out).write_text(
             serialize_certificate(outcome.certificate), encoding="utf-8"
         )
+    _emit(result_document(outcome))
     return _EXIT_BY_ANSWER[outcome.answer]
 
 
@@ -184,11 +184,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.m is None:
             raise _CliError("gen --problem degseq needs --m")
         inst, witness = gen_planted_degseq(args.n, args.m, args.seed)
-        sys.stdout.write(serialize_instance(inst))
         if args.witness_out:
             Path(args.witness_out).write_text(
                 serialize_certificate(witness), encoding="utf-8"
             )
+        sys.stdout.write(serialize_instance(inst))
         return 0
     if args.max_value is None:
         raise _CliError("gen --problem three_partition needs --max-value")

@@ -11,6 +11,7 @@ check, behind both and every certificate verifier.
 
 check_int is the one rule for every integer the library accepts (check_ints
 for a vector, in one pass); the edge parsers inline its type test.
+triple_sums is the one rule for v_i + v_j + v_k over triples (i, j, k).
 
 Every aggregate value carries its ground-set size n and operations reject
 operands that disagree on n. All integer arithmetic is checked against the
@@ -123,6 +124,15 @@ def checked_dot(u: Sequence[int], v: Sequence[int], what: str = "inner product")
     for a, b in zip(u, v):
         total = i64(total + i64(a * b, what), what)
     return total
+
+
+def triple_sums(values: Sequence[int], triples: Iterable[Sequence[int]]) -> list[int]:
+    """v_i + v_j + v_k for each triple (i, j, k), in order, checked against i64."""
+    sums = [values[i] + values[j] + values[k] for i, j, k in triples]
+    # checking the least and the largest sum checks them all
+    i64(max(sums, default=0), "weighted value")
+    i64(min(sums, default=0), "weighted value")
+    return sums
 
 
 def _validate_triple(edge: Sequence[int], n: int) -> Triple:
@@ -379,9 +389,7 @@ def degree_sum(h: Hypergraph) -> DegreeSequence:
 
 def weighted_value(w: WeightVector, x: Sequence[int]) -> int:
     """w_i + w_j + w_k for the triple x = (i, j, k), overflow-checked."""
-    t = _validate_triple(x, w.n)
-    vals = w.values
-    return i64(vals[t[0]] + vals[t[1]] + vals[t[2]], "weighted value")
+    return triple_sums(w.values, (_validate_triple(x, w.n),))[0]
 
 
 def sign_partition(w: WeightVector) -> SignPartition:
@@ -390,23 +398,21 @@ def sign_partition(w: WeightVector) -> SignPartition:
     Each part keeps the lexicographic enumeration order, so the three
     hypergraphs are canonical. Exact integer signs; no epsilon.
     """
-    vals = w.values
+    triples = enumerate_triples(w.n)
     neg: list[Triple] = []
     zero: list[Triple] = []
     pos: list[Triple] = []
-    for x in itertools.combinations(range(len(vals)), 3):
-        v = i64(vals[x[0]] + vals[x[1]] + vals[x[2]], "weighted value")
+    for x, v in zip(triples, triple_sums(w.values, triples)):
         if v < 0:
             neg.append(x)
         elif v > 0:
             pos.append(x)
         else:
             zero.append(x)
-    n = len(vals)
     return SignPartition(
-        s_minus=Hypergraph(n, tuple(neg)),
-        s_zero=Hypergraph(n, tuple(zero)),
-        s_plus=Hypergraph(n, tuple(pos)),
+        s_minus=Hypergraph(w.n, tuple(neg)),
+        s_zero=Hypergraph(w.n, tuple(zero)),
+        s_plus=Hypergraph(w.n, tuple(pos)),
     )
 
 
@@ -442,8 +448,8 @@ def verify_separator(
         return CertificateCheck(False, "malformed_separator")
     try:
         lhs = checked_dot(vals, target, "separator value")
+        scores = triple_sums(vals, candidates)
         # every term is nonnegative, so checking the total checks each partial sum
-        scores = [vals[i] + vals[j] + vals[k] for i, j, k in candidates]
         rhs = i64(sum(s for s in scores if s > 0), "separator bound")
     except Int64OverflowError:
         return CertificateCheck(False, "overflow")

@@ -33,6 +33,7 @@ from .core import (
     DegreeSequence,
     GroundSetMismatchError,
     Hypergraph,
+    Int64OverflowError,
     SignPartition,
     WeightVector,
     _Record,
@@ -44,6 +45,7 @@ from .core import (
     degree_sum,
     i64,
     sign_partition,
+    triple_sums,
     verify_certificate,
 )
 
@@ -123,10 +125,12 @@ def verify_zero_certificate(
     base = verify_certificate(edges, inst.c)
     if not base:
         return base
-    w = inst.w.values
-    for i, j, k in edges:
-        if w[i] + w[j] + w[k] != 0:
-            return CertificateCheck(False, "edge_outside_zero_set")
+    try:
+        outside = any(triple_sums(inst.w.values, edges))
+    except Int64OverflowError:
+        outside = True  # a sum outside i64 is not 0
+    if outside:
+        return CertificateCheck(False, "edge_outside_zero_set")
     return CertificateCheck(True)
 
 
@@ -137,10 +141,8 @@ def verify_partition_certificate(
     base = verify_certificate(edges, DegreeSequence((1,) * inst.n))
     if not base:
         return base
-    a = inst.a
-    for i, j, k in edges:
-        if a[i] + a[j] + a[k] != inst.b:
-            return CertificateCheck(False, "edge_value_mismatch")
+    if any(v != inst.b for v in triple_sums(inst.a, edges)):
+        return CertificateCheck(False, "edge_value_mismatch")
     return CertificateCheck(True)
 
 
@@ -179,10 +181,8 @@ def map_partition_certificate(
         raise GroundSetMismatchError(
             f"certificate is on [{f.n}] but instance is on [{inst.n}]"
         )
-    a = inst.a
     b = inst.b
-    for i, j, k in f.edges:
-        value = i64(a[i] + a[j] + a[k], "a.x")
+    for (i, j, k), value in zip(f.edges, triple_sums(inst.a, f.edges)):
         if value != b:
             raise CertificateError(
                 f"edge ({i}, {j}, {k}) has a-value {value}, expected {b}"

@@ -67,7 +67,7 @@ from .core import (
     check_int,
     checked_sum,
     enumerate_triples,
-    i64,
+    triple_sums,
     verify_certificate,
     verify_separator,
 )
@@ -344,12 +344,8 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
     """
     started = perf_counter()
     check_int(budget, "budget", nonnegative=True)  # before any answer
-    w = inst.w.values
-    candidates = [
-        x
-        for x in enumerate_triples(inst.n)
-        if i64(w[x[0]] + w[x[1]] + w[x[2]], "weighted value") == 0
-    ]
+    triples = enumerate_triples(inst.n)
+    candidates = [x for x, v in zip(triples, triple_sums(inst.w.values, triples)) if v == 0]
     answer, witness, nodes = _run_search(inst.n, candidates, inst.c.values, budget)
     certificate = _certificate(
         answer, inst.n, witness, lambda e: verify_zero_certificate(e, inst)

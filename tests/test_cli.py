@@ -87,6 +87,31 @@ class TestDecide:
             "search returned an invalid certificate (edges_out_of_order)\n"
         )
 
+    def test_certificate_write_failure_prints_nothing(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "decide",
+            "--input", str(GOLDENS / "degseq_yes.json"),
+            "--certificate-out", str(tmp_path / "missing" / "c.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_deeply_nested_instance_exit_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "decide", "--input", str(deep))
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in err
+
+    def test_weight_sum_overflow_exit_2(self, capsys, tmp_path):
+        # a valid instance whose triple (0, 2, 4) sums outside i64
+        inst = tmp_path / "inst.json"
+        inst.write_text(_VERIFY_INSTANCES["zero_huge"][0])
+        code, out, err = run(capsys, "decide", "--input", str(inst))
+        assert (code, out) == (2, "")
+        assert "outside the signed 64-bit range" in err
+
     def test_zero_weight_instance(self, capsys):
         code, doc = out_json(capsys, "decide", "--input", str(GOLDENS / "zero_weight_no.json"))
         assert code == 1
@@ -326,6 +351,13 @@ _VERIFY_INSTANCES = {
     "degseq2": ('{"problem":"degseq","k":2,"d":[3,3,2,2,2]}', "graph", "hypergraph"),
     "zero": ('{"problem":"zero_weight","w":[0,1,-1,1,-1],"c":[2,1,1,1,1]}', "hypergraph", "graph"),
     "partition": ('{"problem":"three_partition","a":[1,2,3,4,5,7],"b":11}', "hypergraph", "graph"),
+    # B = 2^62 - 1: w.c = 0 in i64, but w(0, 2, 4) = 3B and w(1, 3, 5) = -3B are not
+    "zero_huge": (
+        '{"problem":"zero_weight","w":[%d,-%d,%d,-%d,%d,-%d],"c":[1,1,1,1,1,1]}'
+        % ((2**62 - 1,) * 6),
+        "hypergraph",
+        "graph",
+    ),
 }
 _VERIFY_TABLE = [
     ("degseq3", "valid", "[[0,1,2]]", None),
@@ -353,6 +385,7 @@ _VERIFY_TABLE = [
     ("zero", "range", "[[0,1,2],[0,3,5]]", "malformed_edge"),
     ("zero", "order", "[[0,3,4],[0,1,2]]", "edges_out_of_order"),
     ("zero", "nonzero", "[[0,1,3],[0,2,4]]", "edge_outside_zero_set"),
+    ("zero_huge", "overflow", "[[0,2,4],[1,3,5]]", "edge_outside_zero_set"),
     ("partition", "valid", "[[0,2,5],[1,3,4]]", None),
     ("partition", "partial", "[[0,2,5]]", "degree_mismatch"),
     ("partition", "descending", "[[5,2,0],[1,3,4]]", "malformed_edge"),
@@ -389,6 +422,11 @@ def test_verify_reason_table(capsys, tmp_path, instance, edges, reason):
         assert (code, out) == (0, '{"valid":true,"reason":null}\n')
     else:
         assert (code, out) == (1, f'{{"valid":false,"reason":"{reason}"}}\n')
+
+
+def test_verify_deeply_nested_certificate_exit_2(capsys, tmp_path):
+    cert = '{"certificate":"hypergraph","edges":%s}' % ("[" * 100_000 + "]" * 100_000)
+    assert _run_verify(capsys, tmp_path, "degseq3", cert) == (2, "")
 
 
 @pytest.mark.parametrize("instance", sorted(_VERIFY_INSTANCES))
@@ -466,6 +504,14 @@ class TestGen:
         assert sum(doc["d"]) == 12
         cert = json.loads(witness.read_text())
         assert len(cert["edges"]) == 4
+
+    def test_witness_write_failure_prints_nothing(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "gen", "--problem", "degseq", "--n", "6", "--m", "4", "--seed", "11",
+            "--witness-out", str(tmp_path / "missing" / "w.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_missing_m_exit_2(self, capsys):
         code, _, _ = run(capsys, "gen", "--problem", "degseq", "--n", "6", "--seed", "1")

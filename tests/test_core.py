@@ -32,7 +32,15 @@ from hyperdeg import (
     verify_separator,
     weighted_value,
 )
-from hyperdeg.core import I64_MAX, I64_MIN, EdgeListError, checked_dot, checked_sum, i64
+from hyperdeg.core import (
+    I64_MAX,
+    I64_MIN,
+    EdgeListError,
+    checked_dot,
+    checked_sum,
+    i64,
+    triple_sums,
+)
 from hyperdeg.graph import Graph
 from hyperdeg.workbench import CertificateDoc
 
@@ -79,6 +87,55 @@ class TestDegreeSum:
     @given(hypergraphs())
     def test_total_is_three_per_edge(self, h):
         assert sum(degree_sum(h).values) == 3 * len(h.edges)
+
+
+_I64_EDGE = st.integers(I64_MAX // 3 - 2, I64_MAX // 3 + 2)
+
+
+class TestTripleSums:
+    @given(
+        st.lists(
+            st.one_of(st.integers(-5, 5), _I64_EDGE, _I64_EDGE.map(lambda v: -v)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_exact_sums_or_overflow(self, values, data):
+        index = st.integers(0, len(values) - 1)
+        triples = data.draw(st.lists(st.tuples(index, index, index), max_size=8))
+        exact = [sum(values[v] for v in t) for t in triples]
+        if all(I64_MIN <= x <= I64_MAX for x in exact):
+            assert triple_sums(values, triples) == exact
+        else:
+            with pytest.raises(Int64OverflowError):
+                triple_sums(values, triples)
+
+    # first and last sums sit exactly on the i64 bounds; only the middle one leaves
+    VALUES = (0, 1, -1, I64_MAX, I64_MIN)
+
+    @pytest.mark.parametrize(
+        "middle, out",
+        [((1, 3, 0), I64_MAX + 1), ((2, 4, 0), I64_MIN - 1)],
+        ids=["above", "below"],
+    )
+    def test_only_a_middle_sum_leaves_i64(self, middle, out):
+        triples = [(0, 0, 3), (0, 1, 2), middle, (0, 1, 2), (0, 0, 4)]
+        assert triple_sums(self.VALUES, [triples[0], triples[-1]]) == [I64_MAX, I64_MIN]
+        with pytest.raises(Int64OverflowError, match=str(out)):
+            triple_sums(self.VALUES, triples)
+
+    def test_empty(self):
+        assert triple_sums((1, 2, 3), []) == []
+
+    def test_overflow_inside_a_valid_instance(self):
+        # every partial sum of w.c stays in i64, but w(0, 2, 4) = 3B does not
+        b = 2**62 - 1
+        inst = ZeroWeightInstance(WeightVector((b, -b) * 3), DegreeSequence((1,) * 6))
+        with pytest.raises(Int64OverflowError):
+            sign_partition(inst.w)
+        with pytest.raises(Int64OverflowError):
+            decide_zero(inst)
 
 
 class TestWeightedValue:
