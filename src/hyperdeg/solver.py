@@ -7,14 +7,17 @@ branching, include tried first. Each node branches through the vertex of
 largest residual demand (lowest index on ties), the rule Havel-Hakimi uses
 for graphs (graph.hh_realize), and takes that vertex's candidates in a
 static demand order: highest total demand d_i + d_j + d_k first,
-lexicographic on ties. Serving the neediest vertex first meets its demand
-while it still has candidates left, and on reduced instances the demand
-order reaches the forced part of the certificate before the search can
-wander (pure lexicographic order needs billions of nodes there).
-Candidates through a vertex of zero demand are dropped before the search
-starts, so every candidate it sees is includable. At each node, on
-residual degrees r and the undecided candidate counts per vertex, a
-branch is cut when
+lexicographic on ties (one stable sort on the demand, over candidates
+that arrive in lexicographic order). Serving the neediest vertex first
+meets its demand while it still has candidates left, and on reduced
+instances the demand order reaches the forced part of the certificate
+before the search can wander (pure lexicographic order needs billions of
+nodes there). Candidates through a vertex of zero demand are dropped
+before the search starts, so every candidate it sees is includable. A
+target that asks for more than half the candidates, and for no vertex
+more than its candidate degree, is searched as its complement (see
+_run_search). At each node, on residual degrees r and the undecided
+candidate counts per vertex, a branch is cut when
 
   (a) some r_v would go negative (never: a candidate is dropped as soon
       as one of its vertices is saturated),
@@ -170,9 +173,12 @@ def _search(
             r[k] -= 1
             total -= 3
             live = rest
-            for u in (i, j, k):
-                if not r[u]:
-                    live &= ~vmask[u]
+            if not r[i]:
+                live &= ~vmask[i]
+            if not r[j]:
+                live &= ~vmask[j]
+            if not r[k]:
+                live &= ~vmask[k]
             stack.append((pos, rest, True, v))
             top = max(r)
             ok = 3 * top <= total
@@ -214,10 +220,18 @@ def _ordered_candidates(
 ) -> list[Triple]:
     """Static candidate order: highest total demand first, then lexicographic.
 
+    Precondition: candidates are in lexicographic order (enumerate_triples
+    or a filtered sublist of it). The sort is stable, reverse=True
+    included, so ties keep that order. The demand sum is left unchecked:
+    an order needs no i64 bound, and core.triple_sums would raise on a
+    demand that the search itself refuses at its first node.
+
     _search branches through the vertex of largest residual, so this order
     only decides which of that vertex's candidates it tries first.
     """
-    return sorted(candidates, key=lambda t: (-(target[t[0]] + target[t[1]] + target[t[2]]), t))
+    demand = [target[i] + target[j] + target[k] for i, j, k in candidates]
+    order = sorted(range(len(candidates)), key=demand.__getitem__, reverse=True)
+    return [candidates[p] for p in order]
 
 
 def _run_search(
@@ -229,8 +243,9 @@ def _run_search(
     that polytope found (None for a NO by exhausted search and for
     UNKNOWN). A subset S of the candidates has degree vector t exactly when
     its complement within the candidates has degree vector cand_deg - t, so
-    when t asks for more than half the candidates the engine runs on the
-    complement target and the chosen set is flipped back afterwards.
+    when t asks for more than half the candidates and no entry of t exceeds
+    its candidate degree, the engine runs on the complement target and the
+    chosen set is flipped back afterwards.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -242,20 +257,18 @@ def _run_search(
     larger budget gives the same YES/NO at the same node count.
     """
     target = tuple(target)
-    cand_deg = [0] * n
-    for i, j, k in candidates:
-        cand_deg[i] += 1
-        cand_deg[j] += 1
-        cand_deg[k] += 1
     total = sum(target)
-    flipped = (
-        total % 3 == 0
-        and 2 * (total // 3) > len(candidates)
-        and all(t <= cd for t, cd in zip(target, cand_deg))
-    )
-    effective = (
-        tuple(cd - t for cd, t in zip(cand_deg, target)) if flipped else target
-    )
+    effective = target
+    flipped = False
+    if total % 3 == 0 and 2 * (total // 3) > len(candidates):
+        cand_deg = [0] * n
+        for i, j, k in candidates:
+            cand_deg[i] += 1
+            cand_deg[j] += 1
+            cand_deg[k] += 1
+        flipped = all(t <= cd for t, cd in zip(target, cand_deg))
+        if flipped:
+            effective = tuple(cd - t for cd, t in zip(cand_deg, target))
     ordered = _ordered_candidates(candidates, effective)
     dive: list[int] = []
     allowance = ALLOWANCE + sum(effective) // 3

@@ -145,6 +145,14 @@ class TestDecideZero:
         assert out.answer == "YES"
         assert verify_zero_certificate(out.certificate.edges, inst)
 
+    def test_huge_demand_is_refused_by_the_search(self):
+        # the demand order's own sum is unchecked: an i64-checked sum
+        # (3 * 2**62) would raise Int64OverflowError here, where the search
+        # refuses at its first node (one candidate cannot carry 2**62)
+        inst = ZeroWeightInstance(WeightVector((1, -1, 0)), DegreeSequence((2**62,) * 3))
+        out = decide_zero(inst, budget=2000)
+        assert (out.answer, out.stats.nodes) == ("NO", 1)
+
 
 class TestDecidePartition:
     def test_single_group(self):
@@ -247,6 +255,50 @@ class TestOracleAgreement:
             d = DegreeSequence(vals)
             if bruteforce_degseq(d):
                 assert prefilter_degseq(d) is None, vals
+
+
+@st.composite
+def _lexicographic_candidates(draw):
+    """(candidates, target): a lexicographic sublist of the triples on
+    [n], 3 <= n <= 9, and a target of small entries, so ties and zeros are
+    common."""
+    n = draw(st.integers(3, 9))
+    triples = enumerate_triples(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    target = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return [x for x, k in zip(triples, keep) if k], tuple(target)
+
+
+class TestDemandOrder:
+    @given(_lexicographic_candidates())
+    @settings(max_examples=300)
+    def test_matches_the_keyed_reference(self, case):
+        candidates, t = case
+        reference = sorted(candidates, key=lambda x: (-(t[x[0]] + t[x[1]] + t[x[2]]), x))
+        assert _ordered_candidates(candidates, t) == reference
+
+    @pytest.mark.parametrize(
+        "decide, inst",
+        [
+            (decide_degseq, DegreeSequence((2, 2, 2, 1, 1, 1))),
+            (decide_zero, ZeroWeightInstance(WeightVector((1, -1, 0, 0, 0)), DegreeSequence((1, 1, 2, 1, 1)))),
+            (decide_partition, ThreePartitionInstance((1, 2, 3, 4, 5, 7), 11)),
+        ],
+        ids=["degseq", "zero", "partition"],
+    )
+    def test_deciders_pass_lexicographic_candidates(self, monkeypatch, decide, inst):
+        # the ties of _ordered_candidates keep input order, which is the
+        # documented lexicographic tie-break only on sorted input
+        seen = []
+        real = solver._ordered_candidates
+
+        def spy(candidates, target):
+            seen.append(list(candidates))
+            return real(candidates, target)
+
+        monkeypatch.setattr(solver, "_ordered_candidates", spy)
+        decide(inst)
+        assert seen and all(c == sorted(c) and len(c) > 1 for c in seen)
 
 
 class TestEngineGolden:
