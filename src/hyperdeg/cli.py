@@ -23,8 +23,10 @@ from typing import Callable, Sequence, TypeVar, Union
 
 from .core import (
     DEFAULT_BUDGET,
+    CertificateCheck,
     DecisionOutcome,
     DegreeSequence,
+    EdgeListError,
     Int64OverflowError,
     SearchStats,
     verify_certificate,
@@ -78,13 +80,22 @@ def _emit(doc: dict) -> None:
 def _decide_graph(d: DegreeSequence) -> DecisionOutcome:
     """The one k = 2 decider: Havel-Hakimi decides and certifies.
 
-    eg_check is a cross-check; a disagreement is a bug, never an answer,
-    so it raises RuntimeError (exit code 4).
+    A YES realization is checked against d, and eg_check is a
+    cross-check; a failed check or a disagreement is a bug, never an
+    answer, so it raises RuntimeError (exit code 4).
     """
-    from .graph import eg_check, hh_realize
+    from .graph import eg_check, hh_realize, verify_graph_certificate
 
     started = perf_counter()
-    realization = hh_realize(d)
+    try:
+        realization = hh_realize(d)
+        check = realization is None or verify_graph_certificate(realization, d)
+    except EdgeListError as exc:
+        check = CertificateCheck(False, exc.reason)
+    if not check:
+        raise RuntimeError(
+            f"internal error: Havel-Hakimi returned an invalid certificate ({check.reason})"
+        )
     answer = "YES" if realization is not None else "NO"
     if eg_check(d) != (realization is not None):
         raise RuntimeError(f"internal error: Havel-Hakimi says {answer}, Erdos-Gallai disagrees")

@@ -9,9 +9,9 @@ answer in one of two ways:
 - infeasible: the duals y of the phase-1 optimum satisfy
   y.t > sum_e max(0, y(e)), with y(e) = y_i + y_j + y_k (Farkas' lemma
   for the box), and no subset of the candidates has degrees t. separator
-  scales y to integers and rounds; only core.verify_separator, an exact
-  integer test, may turn the result into a NO. An uncertified float dual
-  never decides anything.
+  turns y into integers by rational reconstruction; only
+  core.verify_separator, an exact integer test, may turn the result into
+  a NO. An uncertified float dual never decides anything.
 - otherwise: the final point x* (a vertex when feasible, with at most n
   fractional coordinates) ranks the candidates by -x*_e, and the search
   restarts in that order, so its first dive follows an almost integral
@@ -38,7 +38,7 @@ The arithmetic is float and unchecked on purpose: nothing here is trusted.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import isfinite, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .core import Triple
@@ -47,10 +47,8 @@ from .core import Triple
 _EPS = 1e-9
 # phase 1 is done once every artificial is at most this
 _FEASIBLE = 1e-6
-# separator scales the duals by at most this, and calls a scaled dual an
-# integer when it is this close to one
-_MAX_SCALE = 64
-_INTEGRAL = 1e-6
+# separator reads each dual as a fraction with at most this denominator
+_MAX_DENOMINATOR = 10**4
 # solve stops after this many pivots per row and column, whatever the budget
 _PIVOTS_PER_VARIABLE = 2
 
@@ -166,17 +164,17 @@ def solve(
 
 
 def separator(duals: Sequence[float]) -> Union[tuple[int, ...], None]:
-    """The duals scaled by the least K <= _MAX_SCALE that makes them integral.
+    """The duals as an integer vector, by rational reconstruction.
 
-    A basic dual solution is rational with a small denominator, so some
-    K * duals lies within _INTEGRAL of an integer vector; that vector is
-    returned rounded, or None if no K works. It is only a proposal: the
-    caller must check it with core.verify_separator.
+    A basic dual solution is rational, so each dual is read as the nearest
+    fraction with denominator at most _MAX_DENOMINATOR and the vector is
+    scaled by the lcm of the denominators (None if a dual is not finite).
+    Only a proposal: the caller must check it with core.verify_separator.
     """
     if not all(map(isfinite, duals)):
         return None
-    for scale in range(1, _MAX_SCALE + 1):
-        scaled = [scale * u for u in duals]
-        if all(abs(v - round(v)) <= _INTEGRAL for v in scaled):
-            return tuple(round(v) for v in scaled)
-    return None
+    from fractions import Fraction  # loads decimal; only infeasible LPs need it
+
+    fracs = [Fraction(u).limit_denominator(_MAX_DENOMINATOR) for u in duals]
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs)

@@ -176,6 +176,28 @@ class TestDecide:
         assert err.endswith(f"Havel-Hakimi says {says}, Erdos-Gallai disagrees\n")
 
     @pytest.mark.parametrize(
+        "command", [("decide",), ("graph-check", "--realize")], ids=["decide", "graph-check"]
+    )
+    @pytest.mark.parametrize(
+        "edges, reason",
+        [(((0, 1),), "degree_mismatch"), (((0, 1), (0, 1)), "edges_out_of_order")],
+        ids=["wrong-degrees", "malformed-edges"],
+    )
+    def test_k2_invalid_realization_exit_4(
+        self, capsys, monkeypatch, tmp_path, command, edges, reason
+    ):
+        # a faulty realization is a bug: neither a YES nor the exit 2 of a bad input
+        monkeypatch.setattr(hyperdeg.graph, "hh_realize", lambda d: hyperdeg.graph.Graph(4, edges))
+        inst = tmp_path / "k2.json"
+        inst.write_text('{"problem":"degseq","k":2,"d":[1,1,1,1]}\n')
+        code, out, err = run(capsys, *command, "--input", str(inst))
+        assert (code, out) == (4, "")
+        assert err.endswith(
+            "internal error: RuntimeError: internal error: "
+            f"Havel-Hakimi returned an invalid certificate ({reason})\n"
+        )
+
+    @pytest.mark.parametrize(
         "doc",
         [
             '{"problem":"degseq","k":3,"d":[2,2,2]}',
@@ -516,6 +538,13 @@ class TestGen:
     def test_missing_m_exit_2(self, capsys):
         code, _, _ = run(capsys, "gen", "--problem", "degseq", "--n", "6", "--seed", "1")
         assert code == 2
+
+    def test_missing_max_value_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--problem", "three_partition", "--n", "6", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: gen --problem three_partition needs --max-value\n"
 
     def test_bad_n_exit_2(self, capsys):
         code, _, err = run(

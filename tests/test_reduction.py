@@ -190,6 +190,19 @@ class TestCertificateLiftProject:
         with pytest.raises(CertificateError, match="S\\+"):
             project_certificate(h, sp)
 
+    @pytest.mark.parametrize(
+        "convert, target",
+        [
+            (map_partition_certificate, ThreePartitionInstance((1, 1, 1), 3)),
+            (lift_certificate, sign_partition(WeightVector((0, 0, 0)))),
+            (project_certificate, sign_partition(WeightVector((0, 0, 0)))),
+        ],
+        ids=["map", "lift", "project"],
+    )
+    def test_ground_set_mismatch(self, convert, target):
+        with pytest.raises(GroundSetMismatchError):
+            convert(Hypergraph(4, ()), target)
+
     @given(st.data())
     def test_round_trip(self, data):
         w = data.draw(

@@ -422,6 +422,27 @@ class TestPolytopeLayer:
         assert out.separator is not None
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
+    # beyond the oracle's reach; their duals need denominators above 64
+    @pytest.mark.parametrize("n, seed", [(30, 3), (36, 11)])
+    def test_frontier_no_beyond_the_oracle(self, n, seed):
+        d = reduce_partition_to_degseq(gen_partition(n, 20, seed=seed)).degseq.d
+        out = decide_degseq(d, budget=20_000)
+        assert out.answer == "NO"
+        assert verify_separator(out.separator, d.values, enumerate_triples(n))
+
+    @pytest.mark.parametrize(
+        "duals, want",
+        [
+            ((1 / 70, -1 / 74, 1 / 2), (37, -35, 1295)),
+            ((0.25, -0.5, 1e-13), (1, -2, 0)),
+            ((1.0, float("nan")), None),
+            ((float("-inf"), 0.0), None),
+        ],
+        ids=["lcm-2590", "float-noise", "nan", "inf"],
+    )
+    def test_separator_by_rational_reconstruction(self, duals, want):
+        assert polytope.separator(duals) == want
+
     def test_budget_monotone_through_the_layer(self):
         d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
         settled = decide_degseq(d, budget=10**6)

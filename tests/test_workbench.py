@@ -176,6 +176,27 @@ class TestParseInstance:
             parse_instance('{"problem":"degseq","k":3}')
         assert err.value.field == "d"
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"problem":"zero_weight","w":[0]}', "c"),
+            ('{"problem":"three_partition","b":0}', "a"),
+            ('{"problem":"zero_weight","w":[0],"c":[-1]}', "c"),
+            ('{"problem":"three_partition","a":[-1,1,0],"b":0}', "a"),
+            ('{"problem":"three_partition","a":[1,1,2],"b":3}', "promise"),
+            ('{"problem":"degseq","k":4,"d":[0]}', "k"),
+            ('{"problem":"degseq","k":3,"d":3}', "d"),
+        ],
+        ids=[
+            "zero-weight-missing-c", "partition-missing-a", "negative-c", "negative-a",
+            "partition-promise", "k-not-2-or-3", "not-a-list",
+        ],
+    )
+    def test_error_names_field(self, text, field):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.field == field
+
 
 class TestSerializeRoundTrip:
     CANONICAL = [
