@@ -22,10 +22,11 @@ polytope row adds the separator):
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, at budgets
   2000 and 10^6: the instances that outlast the search's allowance and
-  reach the polytope layer. Nodes count its pivots; the row ends with the
+  reach the polytope layer, apart from the 14 rows the root bound
+  refutes at 1 node. Nodes count its pivots; the row ends with the
   certificate edges and the NO separator, each null when absent.
 
-The rows of the first five sections all decide within 411 nodes, below the
+The rows of the first five sections all decide within 255 nodes, below the
 search's allowance, so the polytope layer never runs on them.
 
 tests/test_solver.py replays every row and demands identical answers,
@@ -33,11 +34,21 @@ certificates and node counts. Rerun this only when a change is meant to
 move node counts (branching order, new pruning), and say so:
 
     PYTHONPATH=src python scripts/engine_golden.py
+
+With --diff it records the rows in memory and, without writing the file,
+prints per section how many rows changed in answer, nodes, certificate and
+separator; it exits 1 if an answer or a certificate changed (or the rows
+no longer pair up), so a change that only moves node counts can account
+for its rows before regenerating:
+
+    PYTHONPATH=src python scripts/engine_golden.py --diff
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -166,13 +177,13 @@ def _decided(out):
 def record() -> dict:
     search = []
     for n, target in search_targets():
-        ordered = _ordered_candidates(enumerate_triples(n), target)
+        ordered, *_ = _ordered_candidates(enumerate_triples(n), target)
         for budget in SEARCH_BUDGETS:
             answer, edges, nodes = _search(n, ordered, target, budget)
             search.append([n, list(target), budget, answer, nodes, _edges(edges)])
     sparse = []
     for n, cands, target in sparse_cases():
-        ordered = _ordered_candidates(cands, target)
+        ordered, *_ = _ordered_candidates(cands, target)
         for budget in SPARSE_BUDGETS:
             answer, edges, nodes = _search(n, ordered, target, budget)
             row = [n, _edges(cands), list(target), budget, answer, nodes, _edges(edges)]
@@ -202,15 +213,49 @@ def record() -> dict:
             "partition": partition, "zero": zero, "polytope": polytope}
 
 
+# the leading inputs of each section's rows; answer, nodes and edges follow
+INPUTS = {"search": 3, "sparse": 4, "degseq": 1, "partition": 3, "zero": 3, "polytope": 2}
+
+
 def dump(golden: dict) -> str:
     """One row per line, compact JSON inside each row."""
     parts = []
-    for key in ("search", "sparse", "degseq", "partition", "zero", "polytope"):
+    for key in INPUTS:
         rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in golden[key])
         parts.append(f'"{key}":[\n{rows}\n]')
     return "{" + ",\n".join(parts) + "}\n"
 
 
-if __name__ == "__main__":
+def diff(old: dict, new: dict) -> bool:
+    """Print, per section, how many rows changed in each field.
+
+    Returns True when the rows still pair up and no answer or certificate
+    changed; nodes and separators may move on purpose.
+    """
+    same = True
+    for key, k in INPUTS.items():
+        pairs = list(zip(old[key], new[key]))
+        aligned = len(old[key]) == len(new[key]) and all(a[:k] == b[:k] for a, b in pairs)
+        counts = {field: sum(a[k + f] != b[k + f] for a, b in pairs if len(a) > k + f)
+                  for f, field in enumerate(("answer", "nodes", "certificate", "separator"))}
+        print(f"{key}: {len(new[key])} rows" + "".join(f", {f} {c}" for f, c in counts.items())
+              + ("" if aligned else ", inputs differ"))
+        same = same and aligned and not counts["answer"] and not counts["certificate"]
+    return same
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="compare with the committed golden instead of writing it; "
+                             "exit 1 if an answer or certificate changed")
+    args = parser.parse_args()
+    if args.diff:
+        committed = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        sys.exit(0 if diff(committed, record()) else 1)
     GOLDEN.write_text(dump(record()), encoding="utf-8")
     print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,11 +13,11 @@ meets its demand while it still has candidates left, and on reduced
 instances the demand order reaches the forced part of the certificate
 before the search can wander (pure lexicographic order needs billions of
 nodes there). Candidates through a vertex of zero demand are dropped
-before the search starts, so every candidate it sees is includable. A
-target that asks for more than half the candidates, and for no vertex
-more than its candidate degree, is searched as its complement (see
-_run_search). At each node, on residual degrees r and the undecided
-candidate counts per vertex, a branch is cut when
+before they are ordered, so every candidate the search sees is
+includable. A target that asks for more than half the candidates, and
+for no vertex more than its candidate degree, is searched as its
+complement (see _run_search). At each node, on residual degrees r and
+the undecided candidate counts per vertex, a branch is cut when
 
   (a) some r_v would go negative (never: a candidate is dropped as soon
       as one of its vertices is saturated),
@@ -29,6 +29,26 @@ candidate counts per vertex, a branch is cut when
 
 Each rule is a cheap necessary condition on any completion, so the search
 is exact: YES comes with a certificate, NO means the space was exhausted.
+
+Before the first node, the root bound (_root_separator) compares two sums
+on the searched side. A realization H of t has E = sum(t) / 3 edges and
+sum_{e in H} (t_i + t_j + t_k) = sum_v t_v^2, so sum_v t_v^2 can never
+exceed the sum of the E largest candidate demands, which the demand order
+has just ranked. When it does, y = 3t - theta*1, with theta the E-th
+largest demand, is a separator, by the identity
+
+  y.t - sum_e max(0, y(e)) = 3 (sum_v t_v^2 - top-E demand sum)
+
+over the candidates that were ordered, so the comparison fires exactly
+when y separates them. Lowering y at the zero-demand vertices, until no
+dropped candidate scores above 0, makes it separate the full list too
+(any separator of the searched side gets this, the polytope's as well).
+The answer is NO, with y as its separator, only once
+core.verify_separator accepts y on the full candidate list; otherwise the
+search runs as if the bound had not fired. The bound costs one node, like
+a root that fails (b)-(d), and only runs on a budget of at least 1. E is
+at most the candidate count, so every t_v is at most 3m and y stays far
+inside i64.
 
 The rules cannot see what the polytope {Mx = t, 0 <= x <= 1} forces (on
 reduced instances, S+ in and S- out of every realization), so a search
@@ -219,8 +239,13 @@ def _search(
 
 def _ordered_candidates(
     candidates: Sequence[Triple], target: Sequence[int]
-) -> list[Triple]:
+) -> tuple[list[Triple], list[int], list[int]]:
     """Static candidate order: highest total demand first, then lexicographic.
+
+    Returns the ordered candidates, each candidate's demand (in input
+    order) and the order itself (order[r] is the input position of the
+    r-th), so the root bound of _run_search can sum the largest demands
+    without a second sort.
 
     Precondition: candidates are in lexicographic order (enumerate_triples
     or a filtered sublist of it). The sort is stable, reverse=True
@@ -233,7 +258,28 @@ def _ordered_candidates(
     """
     demand = [target[i] + target[j] + target[k] for i, j, k in candidates]
     order = sorted(range(len(candidates)), key=demand.__getitem__, reverse=True)
-    return [candidates[p] for p in order]
+    return [candidates[p] for p in order], demand, order
+
+
+def _root_separator(
+    target: Sequence[int], demand: list[int], order: Sequence[int], size: int
+) -> Union[tuple[int, ...], None]:
+    """The root bound: y = 3t - theta*1 if it refutes t, else None.
+
+    demand and order are those of _ordered_candidates on the searched
+    candidates, and size is sum(t) / 3. It fires when sum_v t_v^2 exceeds
+    the sum of the size largest demands, theta the size-th (see the
+    module docstring); never when size exceeds the candidate count.
+    """
+    if not 0 < size <= len(order):
+        return None
+    theta = demand[order[size - 1]]
+    squares = sum(t * t for t in target)
+    # each of the size largest demands is at least theta, so most
+    # realizable targets are settled without the sum
+    if squares <= size * theta or squares <= sum(map(demand.__getitem__, order[:size])):
+        return None
+    return tuple(3 * t - theta for t in target)
 
 
 def _run_search(
@@ -242,12 +288,16 @@ def _run_search(
     """Order, search, and canonicalize; returns (answer, witness, nodes).
 
     The witness is the YES edges, sorted, or the integer separator of a NO
-    that polytope found (None for a NO by exhausted search and for
-    UNKNOWN). A subset S of the candidates has degree vector t exactly when
-    its complement within the candidates has degree vector cand_deg - t, so
-    when t asks for more than half the candidates and no entry of t exceeds
-    its candidate degree, the engine runs on the complement target and the
-    chosen set is flipped back afterwards.
+    that the root bound or polytope found (None for a NO by exhausted
+    search and for UNKNOWN). A subset S of the candidates has degree
+    vector t exactly when its complement within the candidates has degree
+    vector cand_deg - t, so when t asks for more than half the candidates
+    and no entry of t exceeds its candidate degree, the engine runs on the
+    complement target and the chosen set is flipped back afterwards.
+    Candidates through a vertex of zero demand on the searched side are
+    then dropped; the full list stays for flipping a YES back and for
+    checking a separator. A root bound that the check accepts answers NO
+    at one node.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -271,19 +321,46 @@ def _run_search(
         flipped = all(t <= cd for t, cd in zip(target, cand_deg))
         if flipped:
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))
-    ordered = _ordered_candidates(candidates, effective)
+    searched = candidates
+    if 0 in effective:
+        # _search would kill them at its root; dropped here, they are never
+        # ordered or masked
+        searched = [
+            x for x in candidates if effective[x[0]] and effective[x[1]] and effective[x[2]]
+        ]
+    ordered, demand, order = _ordered_candidates(searched, effective)
+    size = sum(effective) // 3  # the edge count of every realization
+
+    def certified(y: Union[tuple[int, ...], None]) -> Union[tuple[int, ...], None]:
+        """A separator of the searched side as a checked one of target, or None.
+
+        y is proposed on the searched candidates. A vertex of zero demand
+        has none there, so its entry is lowered (y.effective stays the
+        same) until no candidate through it scores above 0.
+        """
+        if y is None:
+            return None
+        if searched is not candidates:
+            low = -2 * max(0, *y)
+            y = tuple(v if t else min(v, low) for v, t in zip(y, effective))
+        if flipped:
+            y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
+        return y if verify_separator(y, target, candidates) else None
+
+    if budget and total % 3 == 0:
+        y = certified(_root_separator(effective, demand, order, size))
+        if y is not None:
+            return "NO", y, 1
     dive: list[int] = []
-    allowance = ALLOWANCE + sum(effective) // 3
+    allowance = ALLOWANCE + size
     answer, edges, nodes = _search(n, ordered, effective, min(budget, allowance), dive)
     if answer == "UNKNOWN" and nodes < budget:
         from . import polytope  # only searches that outlast the allowance load it
 
         lp = polytope.solve(n, ordered, effective, dive, budget - nodes)
         nodes += lp.pivots
-        y = polytope.separator(lp.duals) if lp.status == "infeasible" else None
-        if y is not None and flipped:
-            y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
-        if y is not None and verify_separator(y, target, candidates):
+        y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
+        if y is not None:
             return "NO", y, nodes
         if nodes < budget:
             rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])

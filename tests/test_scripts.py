@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -31,12 +32,48 @@ def test_script_runs(script, args, expect):
     assert expect in proc.stdout
 
 
-def test_engine_golden_imports():
-    # the golden writer imports the engine's private _search and
-    # _ordered_candidates; its __main__ guard keeps this from rewriting
-    # tests/goldens/engine.json
+def _engine_golden():
     path = ROOT / "scripts" / "engine_golden.py"
     spec = importlib.util.spec_from_file_location("engine_golden", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_engine_golden_imports():
+    # the golden writer imports the engine's private _search and
+    # _ordered_candidates; its __main__ guard keeps this from rewriting
+    # tests/goldens/engine.json
+    module = _engine_golden()
     assert callable(module.record) and callable(module.dump)
+
+
+def test_engine_golden_diff_is_clean():
+    # the committed golden is what the engine records today: every count 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "engine_golden.py"), "--diff"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "search", "sparse", "degseq", "partition", "zero", "polytope"
+    ]
+    for line in lines:
+        counts = [int(part.split()[-1]) for part in line.split(", ")[1:]]
+        assert len(counts) == 4 and not any(counts), line
+
+
+def test_engine_golden_diff_refuses_a_changed_answer(capsys):
+    module = _engine_golden()
+    old = json.loads((ROOT / "tests" / "goldens" / "engine.json").read_text(encoding="utf-8"))
+    assert module.diff(old, old)
+    # nodes and separators may move; an answer may not
+    new = {key: [list(row) for row in rows] for key, rows in old.items()}
+    new["degseq"][0][2] += 1
+    new["polytope"][0][-1] = [0]
+    assert module.diff(old, new)
+    new["zero"][0][3] = "NO"
+    assert not module.diff(old, new)
+    assert "zero: 600 rows, answer 1, nodes 0" in capsys.readouterr().out

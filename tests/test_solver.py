@@ -1,5 +1,6 @@
 import itertools
 import json
+from contextlib import contextmanager
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -118,6 +119,21 @@ class TestDecideDegseq:
         assert first.answer == second.answer
         assert first.certificate == second.certificate
         assert first.stats.nodes == second.stats.nodes
+
+    def test_zero_demand_candidates_never_reach_the_search(self, monkeypatch):
+        # every candidate runs through a vertex of zero demand, so none is
+        # ordered or masked; the search starts on an empty list
+        seen = []
+        real = solver._search
+
+        def spy(n, candidates, *args):
+            seen.append(len(candidates))
+            return real(n, candidates, *args)
+
+        monkeypatch.setattr(solver, "_search", spy)
+        out = decide_degseq(DegreeSequence((0,) * 60))
+        assert (out.answer, out.certificate.edges, out.stats.nodes) == ("YES", (), 1)
+        assert seen == [0]
 
 
 class TestDecideZero:
@@ -275,14 +291,19 @@ class TestDemandOrder:
     def test_matches_the_keyed_reference(self, case):
         candidates, t = case
         reference = sorted(candidates, key=lambda x: (-(t[x[0]] + t[x[1]] + t[x[2]]), x))
-        assert _ordered_candidates(candidates, t) == reference
+        ordered, demand, order = _ordered_candidates(candidates, t)
+        assert ordered == reference == [candidates[p] for p in order]
+        assert demand == [t[i] + t[j] + t[k] for i, j, k in candidates]
 
     @pytest.mark.parametrize(
         "decide, inst",
         [
             (decide_degseq, DegreeSequence((2, 2, 2, 1, 1, 1))),
             (decide_zero, ZeroWeightInstance(WeightVector((1, -1, 0, 0, 0)), DegreeSequence((1, 1, 2, 1, 1)))),
-            (decide_partition, ThreePartitionInstance((1, 2, 3, 4, 5, 7), 11)),
+            # four triples sum to b and the target asks for two, so the
+            # search is not flipped into an all-zero target whose
+            # candidates are all dropped
+            (decide_partition, ThreePartitionInstance((1, 2, 3, 3, 4, 5), 9)),
         ],
         ids=["degseq", "zero", "partition"],
     )
@@ -301,6 +322,89 @@ class TestDemandOrder:
         assert seen and all(c == sorted(c) and len(c) > 1 for c in seen)
 
 
+@contextmanager
+def _root_firings():
+    """Record, per call of the root bound, whether it proposed a separator."""
+    fired = []
+    real = solver._root_separator
+
+    def spy(*args):
+        y = real(*args)
+        fired.append(y is not None)
+        return y
+
+    solver._root_separator = spy
+    try:
+        yield fired
+    finally:
+        solver._root_separator = real
+
+
+class TestRootBound:
+    def test_fires_only_on_no_exhaustive(self):
+        # every target on n <= 6 up to the per-vertex cap; each firing
+        # answers at the root with a separator that the check accepts
+        answered = 0
+        with _root_firings() as fired:
+            for n in range(7):
+                realizable = _realizable_degrees(n)
+                cap = comb(n - 1, 2) if n else 0
+                triples = enumerate_triples(n)
+                for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
+                    fired.clear()
+                    out = decide_degseq(DegreeSequence(vals))
+                    if not any(fired):
+                        continue
+                    assert _key(vals) not in realizable, vals
+                    assert (out.answer, out.stats.nodes) == ("NO", 1), vals
+                    assert verify_separator(out.separator, vals, triples), vals
+                    answered += 1
+        assert answered > 1000
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def test_never_fires_on_planted_yes(self, seed):
+        rng = SplitMix64(seed)
+        n = 3 + rng.below(9)
+        inst, _ = gen_planted_degseq(n, rng.below(comb(n, 3) + 1), seed=seed)
+        with _root_firings() as fired:
+            assert decide_degseq(inst.d, budget=2000).answer != "NO"
+        assert fired and not any(fired)
+
+    @given(st.integers(0, 10**6), st.integers(4, 9))
+    @settings(max_examples=60)
+    def test_never_fires_on_planted_zero(self, seed, n):
+        rng = SplitMix64(seed)
+        w = WeightVector(tuple(rng.below(7) - 3 for _ in range(n)))
+        picked = tuple(e for e in sign_partition(w).s_zero.edges if rng.below(2))
+        inst = ZeroWeightInstance(w, degree_sum(Hypergraph(n, picked)))
+        with _root_firings() as fired:
+            assert decide_zero(inst, budget=2000).answer != "NO"
+        assert fired and not any(fired)
+
+    def test_budget_semantics(self):
+        # sum t^2 = 23 exceeds 8 + 7 + 6, the three largest demands of the
+        # triples that avoid vertex 0; theta = 6
+        d = DegreeSequence((0, 1, 2, 3, 3))
+        assert decide_degseq(d, budget=0).answer == "UNKNOWN"
+        for budget in (1, 10**6):
+            out = decide_degseq(d, budget=budget)
+            assert (out.answer, out.stats.nodes) == ("NO", 1)
+            assert out.separator == (-6, -3, 0, 3, 3)
+            assert verify_separator(out.separator, d.values, enumerate_triples(5))
+
+    def test_flipped_side_separator(self):
+        # asks for 8 of the 10 triples on [5], so the complement
+        # (0, 1, 1, 1, 3) is searched: sum t^2 = 12 exceeds 5 + 5. There
+        # y = 3t - 5 = (-5, -2, -2, -2, 4), lowered to -2 * 4 at the
+        # zero-demand vertex 0, is negated into a separator of d
+        d = DegreeSequence((6, 5, 5, 5, 3))
+        out = decide_degseq(d)
+        assert (out.answer, out.stats.nodes) == ("NO", 1)
+        assert out.separator == (8, 2, 2, 2, -4)
+        assert verify_separator(out.separator, d.values, enumerate_triples(5))
+
+
 class TestEngineGolden:
     """Answers, certificates and node counts pinned to tests/goldens/engine.json.
 
@@ -311,7 +415,7 @@ class TestEngineGolden:
     while decide_partition still filtered a.x == b itself and decide_zero
     took S0 from the sign partition, so they pin that deciding 3-partition
     through its zero-weight reduction changed no answer, certificate or
-    node count. Every row of those five sections decides within 411 nodes,
+    node count. Every row of those five sections decides within 255 nodes,
     below the search's allowance; the polytope rows are the ones beyond it.
     """
 
@@ -328,13 +432,13 @@ class TestEngineGolden:
     def test_search_rows(self):
         for n, target, budget, *want in ENGINE_GOLDEN["search"]:
             target = tuple(target)
-            ordered = _ordered_candidates(enumerate_triples(n), target)
+            ordered, *_ = _ordered_candidates(enumerate_triples(n), target)
             assert self._row(_search(n, ordered, target, budget)) == want, (target, budget)
 
     def test_sparse_rows(self):
         for n, cands, target, budget, *want in ENGINE_GOLDEN["sparse"]:
             target = tuple(target)
-            ordered = _ordered_candidates([tuple(t) for t in cands], target)
+            ordered, *_ = _ordered_candidates([tuple(t) for t in cands], target)
             assert self._row(_search(n, ordered, target, budget)) == want, (cands, target, budget)
 
     def test_degseq_rows(self):
@@ -353,8 +457,9 @@ class TestEngineGolden:
             assert self._decided(decide_zero(inst, budget)) == want, (w, c, budget)
 
     def test_polytope_rows(self):
-        # reduced n = 12 instances that reach the polytope layer: nodes count
-        # its pivots, and a NO there carries its separator
+        # reduced n = 12 instances that reach the polytope layer, unless the
+        # root bound refutes them at 1 node: nodes count its pivots, and a
+        # NO there carries its separator
         for d, budget, *want, separator in ENGINE_GOLDEN["polytope"]:
             out = decide_degseq(DegreeSequence(tuple(d)), budget)
             assert self._decided(out) == want, (d, budget)
@@ -454,6 +559,18 @@ class TestPolytopeLayer:
             assert again.separator == settled.separator
         assert decide_degseq(d, budget=nodes - 1).answer == "UNKNOWN"
 
+    def test_flipped_lp_separator_on_the_full_candidates(self):
+        # the complement is searched, where the vertices that every triple
+        # must contain have zero demand and no candidates; the LP's
+        # separator is lowered there, else the check on all triples
+        # refuses it and the search ends UNKNOWN at 2000
+        inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
+        d = reduce_partition_to_degseq(inst).degseq.d
+        out = decide_degseq(d, budget=2000)
+        assert (out.answer, out.stats.nodes) == ("NO", 547)
+        assert not bruteforce_partition(inst)
+        assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
+
     def test_decide_zero_shares_the_layer(self):
         # all weights 0: every triple is a candidate, as in decide_degseq
         d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
@@ -484,19 +601,40 @@ class TestPolytopeLayer:
         return statuses
 
     def test_forced_through_the_layer_agrees_with_bruteforce(self, monkeypatch):
+        # the root bound answers most NO here before the layer runs, so the
+        # LP's infeasible path is driven directly too: from x = 0 on every
+        # target, each infeasible LP must give a separator that
+        # verify_separator accepts, on a target brute force calls NO
+        solve = polytope.solve
         statuses = self._force_layer(monkeypatch)
-        checked = 0
-        for n in range(7):
-            realizable = _realizable_degrees(n)
-            cap = comb(n - 1, 2) if n else 0
-            for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
-                out = decide_degseq(DegreeSequence(vals))
-                assert out.answer == ("YES" if _key(vals) in realizable else "NO"), vals
-                if out.separator is not None:
-                    assert verify_separator(out.separator, vals, enumerate_triples(n)), vals
-                checked += 1
+        checked = root_fired = 0
+        lp_statuses = []
+        with _root_firings() as fired:
+            for n in range(7):
+                realizable = _realizable_degrees(n)
+                cap = comb(n - 1, 2) if n else 0
+                triples = enumerate_triples(n)
+                for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
+                    fired.clear()
+                    out = decide_degseq(DegreeSequence(vals))
+                    realized = _key(vals) in realizable
+                    assert out.answer == ("YES" if realized else "NO"), vals
+                    if out.separator is not None:
+                        assert verify_separator(out.separator, vals, triples), vals
+                    if any(fired):
+                        assert not realized, vals
+                        root_fired += 1
+                    lp = solve(n, triples, vals, [], 10**6)
+                    lp_statuses.append(lp.status)
+                    if lp.status == "infeasible":
+                        y = polytope.separator(lp.duals)
+                        assert y is not None and verify_separator(y, vals, triples), vals
+                        assert not realized, vals
+                    checked += 1
         assert checked == 8512
-        assert statuses.count("infeasible") > 500 and statuses.count("feasible") > 300
+        assert lp_statuses.count("infeasible") > 500 and lp_statuses.count("feasible") > 300
+        assert statuses.count("feasible") > 300
+        assert root_fired > 1000
         for vals in ((4, 4, 4, 3, 3), (5, 4, 3, 3, 3), (6, 6, 6, 6, 6, 0)):
             d = DegreeSequence(vals)
             assert (decide_degseq(d).answer == "YES") == bruteforce_degseq(d), vals
