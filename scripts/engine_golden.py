@@ -29,9 +29,9 @@ polytope row adds the separator):
 The rows of the first five sections all decide within 255 nodes, below the
 search's allowance, so the polytope layer never runs on them.
 
-tests/test_solver.py replays every row and demands identical answers,
-certificates and node counts. Rerun this only when a change is meant to
-move node counts (branching order, new pruning), and say so:
+tests/test_scripts.py replays every row through --diff (below) and
+demands every count 0. Rerun this only when a change is meant to move
+node counts (branching order, new pruning), and say so:
 
     PYTHONPATH=src python scripts/engine_golden.py
 

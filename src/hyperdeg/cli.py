@@ -23,12 +23,11 @@ from typing import Callable, Sequence, TypeVar, Union
 
 from .core import (
     DEFAULT_BUDGET,
-    CertificateCheck,
     DecisionOutcome,
     DegreeSequence,
-    EdgeListError,
     Int64OverflowError,
     SearchStats,
+    _own_certificate,
     verify_certificate,
 )
 from .reduction import (
@@ -87,15 +86,9 @@ def _decide_graph(d: DegreeSequence) -> DecisionOutcome:
     from .graph import eg_check, hh_realize, verify_graph_certificate
 
     started = perf_counter()
-    try:
-        realization = hh_realize(d)
-        check = realization is None or verify_graph_certificate(realization, d)
-    except EdgeListError as exc:
-        check = CertificateCheck(False, exc.reason)
-    if not check:
-        raise RuntimeError(
-            f"internal error: Havel-Hakimi returned an invalid certificate ({check.reason})"
-        )
+    realization = _own_certificate(
+        lambda: hh_realize(d), lambda g: verify_graph_certificate(g, d), "Havel-Hakimi"
+    )
     answer = "YES" if realization is not None else "NO"
     if eg_check(d) != (realization is not None):
         raise RuntimeError(f"internal error: Havel-Hakimi says {answer}, Erdos-Gallai disagrees")

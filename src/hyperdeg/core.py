@@ -23,7 +23,8 @@ Every value type in the library is a _Record: one small frozen base with
 a hand-written __init__ per class, class-sensitive equality and hashing,
 and a dataclass-style repr, without the cost of importing dataclasses.
 The records every decider returns, DecisionOutcome and SearchStats, live
-here beside CertificateCheck, so the k = 2 path needs no search engine.
+here beside CertificateCheck and _own_certificate, which checks a
+decider's own certificate before use, so k = 2 needs no search engine.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -357,8 +358,8 @@ class DecisionOutcome(_Record):
     answer: Answer
     certificate: Union[Hypergraph, Graph, None]
     stats: SearchStats
-    # a NO by the polytope layer: y with y.d > sum_e max(0, y(e)) over the
-    # decider's candidate triples (verify_separator); None otherwise
+    # a NO by the search's root bound or polytope layer: y with y.d >
+    # sum_e max(0, y(e)) over the decider's triples (verify_separator), else None
     separator: Union[tuple[int, ...], None]
     _fields = ("answer", "certificate", "stats", "separator")
 
@@ -373,6 +374,26 @@ class DecisionOutcome(_Record):
         _set_field(self, "certificate", certificate)
         _set_field(self, "stats", stats)
         _set_field(self, "separator", separator)
+
+
+def _own_certificate(
+    build: Callable[[], Any], check: Callable[[Any], CertificateCheck], source: str
+) -> Any:
+    """build(), a decider's own Hypergraph or graph.Graph, checked before use.
+
+    None passes unchecked. Every fault, malformed edges included, is a
+    RuntimeError (exit code 4 in the CLI), never a bad instance's ValueError.
+    """
+    try:
+        value = build()
+        result = value is None or check(value)
+    except EdgeListError as exc:
+        result = CertificateCheck(False, exc.reason)
+    if not result:
+        raise RuntimeError(
+            f"internal error: {source} returned an invalid certificate ({result.reason})"
+        )
+    return value
 
 
 def enumerate_triples(n: int) -> list[Triple]:

@@ -2,22 +2,24 @@
 
 decide_partition decides through reduction (1) -> (2) (reduction.py), so
 two deciders remain, decide_degseq on all triples and decide_zero on the
-zero-weight ones. One search engine serves both: depth-first include/exclude
-branching, include tried first. Each node branches through the vertex of
-largest residual demand (lowest index on ties), the rule Havel-Hakimi uses
-for graphs (graph.hh_realize), and takes that vertex's candidates in a
-static demand order: highest total demand d_i + d_j + d_k first,
-lexicographic on ties (one stable sort on the demand, over candidates
-that arrive in lexicographic order). Serving the neediest vertex first
-meets its demand while it still has candidates left, and on reduced
-instances the demand order reaches the forced part of the certificate
-before the search can wander (pure lexicographic order needs billions of
-nodes there). Candidates through a vertex of zero demand are dropped
-before they are ordered, so every candidate the search sees is
-includable. A target that asks for more than half the candidates, and
-for no vertex more than its candidate degree, is searched as its
-complement (see _run_search). At each node, on residual degrees r and
-the undecided candidate counts per vertex, a branch is cut when
+zero-weight ones; each adds only its filter and its certificate check to
+one shared tail, _decide. _run_search refuses a target total not divisible
+by 3 (NO at 0 nodes); otherwise one search engine serves both: depth-first
+include/exclude branching, include tried first. Each node branches through
+the vertex of largest residual demand (lowest index on ties), the rule
+Havel-Hakimi uses for graphs (graph.hh_realize), and takes that vertex's
+candidates in a static demand order: highest total demand d_i + d_j + d_k
+first, lexicographic on ties (one stable sort on the demand, over
+candidates that arrive in lexicographic order). Serving the neediest
+vertex first meets its demand while it still has candidates left, and on
+reduced instances the demand order reaches the forced part of the
+certificate before the search can wander (pure lexicographic order needs
+billions of nodes there). Candidates through a vertex of zero demand are
+dropped before they are ordered, so every candidate the search sees is
+includable. A target that asks for more than half the candidates, and for
+no vertex more than its candidate degree, is searched as its complement
+(see _run_search). At each node, on residual degrees r and the undecided
+candidate counts per vertex, a branch is cut when
 
   (a) some r_v would go negative (never: a candidate is dropped as soon
       as one of its vertices is saturated),
@@ -85,10 +87,10 @@ from .core import (
     CertificateCheck,
     DecisionOutcome,
     DegreeSequence,
-    EdgeListError,
     Hypergraph,
     SearchStats,
     Triple,
+    _own_certificate,
     check_int,
     checked_sum,
     enumerate_triples,
@@ -284,20 +286,20 @@ def _root_separator(
 
 def _run_search(
     n: int, candidates: Sequence[Triple], target: Sequence[int], budget: int
-) -> tuple[Answer, Union[tuple[Triple, ...], tuple[int, ...], None], int]:
-    """Order, search, and canonicalize; returns (answer, witness, nodes).
+) -> tuple[Answer, Union[tuple[Triple, ...], None], Union[tuple[int, ...], None], int]:
+    """Order, search, and canonicalize; returns (answer, edges, separator, nodes).
 
-    The witness is the YES edges, sorted, or the integer separator of a NO
-    that the root bound or polytope found (None for a NO by exhausted
-    search and for UNKNOWN). A subset S of the candidates has degree
-    vector t exactly when its complement within the candidates has degree
-    vector cand_deg - t, so when t asks for more than half the candidates
-    and no entry of t exceeds its candidate degree, the engine runs on the
-    complement target and the chosen set is flipped back afterwards.
-    Candidates through a vertex of zero demand on the searched side are
-    then dropped; the full list stays for flipping a YES back and for
-    checking a separator. A root bound that the check accepts answers NO
-    at one node.
+    edges are the sorted YES edges, separator the checked separator of a
+    NO by the root bound or polytope; each is None otherwise. A total not
+    divisible by 3 is NO at 0 nodes, before any ordering. A subset S of
+    the candidates has degree vector t exactly when its complement within
+    the candidates has degree vector cand_deg - t, so when t asks for more
+    than half the candidates and no entry of t exceeds its candidate
+    degree, the engine runs on the complement target and the chosen set is
+    flipped back afterwards. Candidates through a vertex of zero demand on
+    the searched side are then dropped; the full list stays for flipping a
+    YES back and for checking a separator. A root bound that the check
+    accepts answers NO at one node.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -310,9 +312,11 @@ def _run_search(
     """
     target = tuple(target)
     total = sum(target)
+    if total % 3:
+        return "NO", None, None, 0
     effective = target
     flipped = False
-    if total % 3 == 0 and 2 * (total // 3) > len(candidates):
+    if 2 * (total // 3) > len(candidates):
         cand_deg = [0] * n
         for i, j, k in candidates:
             cand_deg[i] += 1
@@ -347,10 +351,10 @@ def _run_search(
             y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
         return y if verify_separator(y, target, candidates) else None
 
-    if budget and total % 3 == 0:
+    if budget:
         y = certified(_root_separator(effective, demand, order, size))
         if y is not None:
-            return "NO", y, 1
+            return "NO", None, y, 1
     dive: list[int] = []
     allowance = ALLOWANCE + size
     answer, edges, nodes = _search(n, ordered, effective, min(budget, allowance), dive)
@@ -361,7 +365,7 @@ def _run_search(
         nodes += lp.pivots
         y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
         if y is not None:
-            return "NO", y, nodes
+            return "NO", None, y, nodes
         if nodes < budget:
             rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
             answer, edges, more = _search(
@@ -373,59 +377,42 @@ def _run_search(
             complement = set(edges)
             edges = tuple(e for e in candidates if e not in complement)
         edges = tuple(sorted(edges))
-    return answer, edges, nodes
+    return answer, edges, None, nodes
 
 
-def _outcome(
-    answer: Answer,
-    certificate: Union[Hypergraph, None],
-    nodes: int,
+def _decide(
+    n: int,
+    target: Sequence[int],
+    candidates: Callable[[], Union[list[Triple], None]],
+    check: Callable[[Hypergraph], CertificateCheck],
     budget: int,
-    started: float,
-    separator: Union[tuple[int, ...], None] = None,
 ) -> DecisionOutcome:
+    """The tail both deciders share: budget, search, checked YES, outcome.
+
+    candidates() returns the lexicographic candidate triples, or None for a
+    NO by the decider's own filter at 0 nodes; check is a YES's verifier.
+    """
+    started = perf_counter()
+    check_int(budget, "budget", nonnegative=True)  # before any answer, a filter's too
+    searched = candidates()
+    answer, edges, separator, nodes = (
+        ("NO", None, None, 0) if searched is None else _run_search(n, searched, target, budget)
+    )
+    certificate = _own_certificate(
+        lambda: Hypergraph(n, edges) if answer == "YES" else None, check, "search"
+    )
     millis = int((perf_counter() - started) * 1000)
     used = nodes / budget if budget > 0 else 1.0
     return DecisionOutcome(answer, certificate, SearchStats(nodes, millis, used), separator)
 
 
-def _certificate(
-    answer: Answer,
-    n: int,
-    edges: Union[Sequence[Triple], None],
-    check: Callable[[Hypergraph], CertificateCheck],
-) -> Union[Hypergraph, None]:
-    """The engine's YES edges as a Hypergraph, checked once before use.
-
-    Building the Hypergraph runs the edge-list check, and check then only
-    compares degrees and the instance's own conditions. Every fault in the
-    engine's output, malformed triples included, surfaces as RuntimeError
-    (exit code 4 in the CLI), never as the ValueError of a bad instance.
-    """
-    if answer != "YES":
-        return None
-    try:
-        h = Hypergraph(n, edges)
-        check_result = check(h)
-    except EdgeListError as exc:
-        check_result = CertificateCheck(False, exc.reason)
-    if not check_result:
-        raise RuntimeError(
-            f"internal error: search returned an invalid certificate ({check_result.reason})"
-        )
-    return h
-
-
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether d is the degree sequence of a 3-hypergraph on [n]."""
-    started = perf_counter()
-    check_int(budget, "budget", nonnegative=True)  # before any answer, the prefilter's too
-    if prefilter_degseq(d) is not None:
-        return _outcome("NO", None, 0, budget, started)
-    answer, witness, nodes = _run_search(d.n, enumerate_triples(d.n), d.values, budget)
-    certificate = _certificate(answer, d.n, witness, lambda e: verify_certificate(e, d))
-    separator = witness if answer == "NO" else None
-    return _outcome(answer, certificate, nodes, budget, started, separator)
+
+    def candidates() -> Union[list[Triple], None]:
+        return None if prefilter_degseq(d) is not None else enumerate_triples(d.n)
+
+    return _decide(d.n, d.values, candidates, lambda h: verify_certificate(h, d), budget)
 
 
 def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -434,16 +421,14 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
     Same engine as decide_degseq, restricted to the triples x with w.x = 0
     (the S0 part of the sign partition, without building the other two).
     """
-    started = perf_counter()
-    check_int(budget, "budget", nonnegative=True)  # before any answer
-    triples = enumerate_triples(inst.n)
-    candidates = [x for x, v in zip(triples, triple_sums(inst.w.values, triples)) if v == 0]
-    answer, witness, nodes = _run_search(inst.n, candidates, inst.c.values, budget)
-    certificate = _certificate(
-        answer, inst.n, witness, lambda e: verify_zero_certificate(e, inst)
+
+    def zero_triples() -> list[Triple]:
+        triples = enumerate_triples(inst.n)
+        return [x for x, v in zip(triples, triple_sums(inst.w.values, triples)) if v == 0]
+
+    return _decide(
+        inst.n, inst.c.values, zero_triples, lambda h: verify_zero_certificate(h, inst), budget
     )
-    separator = witness if answer == "NO" else None
-    return _outcome(answer, certificate, nodes, budget, started, separator)
 
 
 def decide_partition(
@@ -453,6 +438,6 @@ def decide_partition(
 
     w.x = 3(a.x - b) makes the feasible triples and certificates the same;
     when 3 does not divide n, the all-ones target total is not divisible by
-    3 either, so the engine answers NO at 0 nodes.
+    3 either, so _run_search refuses it as NO at 0 nodes.
     """
     return decide_zero(reduce_partition_to_zero(inst), budget)

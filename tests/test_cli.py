@@ -76,7 +76,7 @@ class TestDecide:
         # a repeated triple fails Hypergraph construction with ValueError; an
         # engine fault must not read as the exit 2 of an invalid instance
         def broken(n, candidates, target, budget):
-            return "YES", ((0, 1, 2), (0, 1, 2)), 1
+            return "YES", ((0, 1, 2), (0, 1, 2)), None, 1
 
         monkeypatch.setattr(hyperdeg.solver, "_run_search", broken)
         code, out, err = run(capsys, "decide", "--input", str(GOLDENS / golden))

@@ -1,9 +1,7 @@
 import itertools
-import json
 from contextlib import contextmanager
 from itertools import product
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,10 +35,6 @@ from hyperdeg import (
 )
 from hyperdeg import polytope, solver
 from hyperdeg.solver import _ordered_candidates, _search
-
-ENGINE_GOLDEN = json.loads(
-    (Path(__file__).parent / "goldens" / "engine.json").read_text(encoding="utf-8")
-)
 
 
 class TestPrefilter:
@@ -193,6 +187,30 @@ class TestDecidePartition:
         out = decide_partition(inst)
         assert out.answer == "NO"
         assert out.stats.nodes == 0
+
+    @pytest.mark.parametrize(
+        "decide, inst",
+        [
+            (decide_partition, ThreePartitionInstance((1, 1, 1, 1), 3)),
+            (decide_zero, ZeroWeightInstance(WeightVector((0,) * 4), DegreeSequence((1,) * 4))),
+        ],
+        ids=["partition", "zero"],
+    )
+    @pytest.mark.parametrize("budget", [0, 1, 10**6])
+    def test_indivisible_total_refused_before_ordering(self, monkeypatch, decide, inst, budget):
+        # a target total of 4: NO at 0 nodes at every budget, and no
+        # candidate is ordered for a search that cannot start
+        seen = []
+        real = solver._ordered_candidates
+
+        def spy(candidates, target):
+            seen.append(target)
+            return real(candidates, target)
+
+        monkeypatch.setattr(solver, "_ordered_candidates", spy)
+        out = decide(inst, budget=budget)
+        assert (out.answer, out.stats.nodes, out.separator) == ("NO", 0, None)
+        assert out.certificate is None and not seen
 
 
 class TestBudgetCheck:
@@ -406,64 +424,12 @@ class TestRootBound:
 
 
 class TestEngineGolden:
-    """Answers, certificates and node counts pinned to tests/goldens/engine.json.
+    """The engine beside tests/goldens/engine.json.
 
-    The golden was recorded from the largest-residual engine, which branches
-    through the vertex of highest residual demand; any change to a node
-    count is a behaviour change and must regenerate it on purpose
-    (scripts/engine_golden.py). The partition and zero rows were recorded
-    while decide_partition still filtered a.x == b itself and decide_zero
-    took S0 from the sign partition, so they pin that deciding 3-partition
-    through its zero-weight reduction changed no answer, certificate or
-    node count. Every row of those five sections decides within 255 nodes,
-    below the search's allowance; the polytope rows are the ones beyond it.
+    Every row of the golden (answers, certificates, node counts and
+    separators) is replayed once, by tests/test_scripts.py through
+    `scripts/engine_golden.py --diff`; these are the cases it has no row for.
     """
-
-    @staticmethod
-    def _row(result):
-        answer, edges, nodes = result
-        return [answer, nodes, None if edges is None else [list(e) for e in edges]]
-
-    @classmethod
-    def _decided(cls, out):
-        cert = None if out.certificate is None else out.certificate.edges
-        return cls._row((out.answer, cert, out.stats.nodes))
-
-    def test_search_rows(self):
-        for n, target, budget, *want in ENGINE_GOLDEN["search"]:
-            target = tuple(target)
-            ordered, *_ = _ordered_candidates(enumerate_triples(n), target)
-            assert self._row(_search(n, ordered, target, budget)) == want, (target, budget)
-
-    def test_sparse_rows(self):
-        for n, cands, target, budget, *want in ENGINE_GOLDEN["sparse"]:
-            target = tuple(target)
-            ordered, *_ = _ordered_candidates([tuple(t) for t in cands], target)
-            assert self._row(_search(n, ordered, target, budget)) == want, (cands, target, budget)
-
-    def test_degseq_rows(self):
-        for d, *want in ENGINE_GOLDEN["degseq"]:
-            out = decide_degseq(DegreeSequence(tuple(d)), budget=10**7)
-            assert self._decided(out) == want, d
-
-    def test_partition_rows(self):
-        for a, b, budget, *want in ENGINE_GOLDEN["partition"]:
-            out = decide_partition(ThreePartitionInstance(tuple(a), b), budget)
-            assert self._decided(out) == want, (a, b, budget)
-
-    def test_zero_rows(self):
-        for w, c, budget, *want in ENGINE_GOLDEN["zero"]:
-            inst = ZeroWeightInstance(WeightVector(tuple(w)), DegreeSequence(tuple(c)))
-            assert self._decided(decide_zero(inst, budget)) == want, (w, c, budget)
-
-    def test_polytope_rows(self):
-        # reduced n = 12 instances that reach the polytope layer, unless the
-        # root bound refutes them at 1 node: nodes count its pivots, and a
-        # NO there carries its separator
-        for d, budget, *want, separator in ENGINE_GOLDEN["polytope"]:
-            out = decide_degseq(DegreeSequence(tuple(d)), budget)
-            assert self._decided(out) == want, (d, budget)
-            assert out.separator == (None if separator is None else tuple(separator)), d
 
     def test_zero_budget(self):
         assert _search(4, enumerate_triples(4), (1, 1, 1, 0), 0) == ("UNKNOWN", None, 0)
