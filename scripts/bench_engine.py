@@ -25,6 +25,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=10**8)
     args = parser.parse_args()
+    if args.per_size < 1:
+        parser.error("--per-size must be at least 1")
 
     print(f"{'n':>3} {'instances':>9} {'med nodes':>10} {'p90 nodes':>10} "
           f"{'max nodes':>10} {'total s':>8} {'unknown':>7}")

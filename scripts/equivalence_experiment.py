@@ -42,8 +42,8 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=10**8)
     args = parser.parse_args()
 
-    if args.n % 3 or args.n > 12:
-        parser.error("--n must be a multiple of 3 and at most 12 (oracle guard)")
+    if args.n % 3 or not 3 <= args.n <= 12:
+        parser.error("--n must be a multiple of 3 from 3 to 12 (oracle guard)")
 
     planted_cutoff = int(args.count * args.planted_fraction)
     tally: Counter[str] = Counter()

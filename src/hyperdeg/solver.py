@@ -3,8 +3,9 @@
 decide_partition decides through reduction (1) -> (2) (reduction.py), so
 two deciders remain, decide_degseq on all triples and decide_zero on the
 zero-weight ones; each adds only its filter and its certificate check to
-one shared tail, _decide. _run_search refuses a target total not divisible
-by 3 (NO at 0 nodes); otherwise one search engine serves both: depth-first
+one front door, _decide, which runs prefilter_degseq before any filter (a
+zero-weight certificate is a 3-hypergraph with degrees c). Past the
+prefilter, one search engine serves both deciders: depth-first
 include/exclude branching, include tried first. Each node branches through
 the vertex of largest residual demand (lowest index on ties), the rule
 Havel-Hakimi uses for graphs (graph.hh_realize), and takes that vertex's
@@ -252,8 +253,9 @@ def _ordered_candidates(
     Precondition: candidates are in lexicographic order (enumerate_triples
     or a filtered sublist of it). The sort is stable, reverse=True
     included, so ties keep that order. The demand sum is left unchecked:
-    an order needs no i64 bound, and core.triple_sums would raise on a
-    demand that the search itself refuses at its first node.
+    each demand is at most the target total, which the prefilter checked
+    against i64 (a complement target is searched only when its total is
+    the smaller).
 
     _search branches through the vertex of largest residual, so this order
     only decides which of that vertex's candidates it tries first.
@@ -289,17 +291,18 @@ def _run_search(
 ) -> tuple[Answer, Union[tuple[Triple, ...], None], Union[tuple[int, ...], None], int]:
     """Order, search, and canonicalize; returns (answer, edges, separator, nodes).
 
-    edges are the sorted YES edges, separator the checked separator of a
-    NO by the root bound or polytope; each is None otherwise. A total not
-    divisible by 3 is NO at 0 nodes, before any ordering. A subset S of
-    the candidates has degree vector t exactly when its complement within
-    the candidates has degree vector cand_deg - t, so when t asks for more
-    than half the candidates and no entry of t exceeds its candidate
-    degree, the engine runs on the complement target and the chosen set is
-    flipped back afterwards. Candidates through a vertex of zero demand on
-    the searched side are then dropped; the full list stays for flipping a
-    YES back and for checking a separator. A root bound that the check
-    accepts answers NO at one node.
+    Precondition: target passed prefilter_degseq (see _decide), so its
+    total is divisible by 3 and inside i64. edges are the sorted YES
+    edges, separator the checked separator of a NO by the root bound or
+    polytope; each is None otherwise. A subset S of the candidates has
+    degree vector t exactly when its complement within the candidates has
+    degree vector cand_deg - t, so when t asks for more than half the
+    candidates and no entry of t exceeds its candidate degree, the engine
+    runs on the complement target and the chosen set is flipped back
+    afterwards. Candidates through a vertex of zero demand on the searched
+    side are then dropped; the full list stays for flipping a YES back and
+    for checking a separator. A root bound that the check accepts answers
+    NO at one node.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -312,8 +315,6 @@ def _run_search(
     """
     target = tuple(target)
     total = sum(target)
-    if total % 3:
-        return "NO", None, None, 0
     effective = target
     flipped = False
     if 2 * (total // 3) > len(candidates):
@@ -381,25 +382,26 @@ def _run_search(
 
 
 def _decide(
-    n: int,
-    target: Sequence[int],
-    candidates: Callable[[], Union[list[Triple], None]],
+    target: DegreeSequence,
+    candidates: Callable[[], list[Triple]],
     check: Callable[[Hypergraph], CertificateCheck],
     budget: int,
 ) -> DecisionOutcome:
-    """The tail both deciders share: budget, search, checked YES, outcome.
+    """The one front door of the k = 3 deciders: budget, prefilter, search, outcome.
 
-    candidates() returns the lexicographic candidate triples, or None for a
-    NO by the decider's own filter at 0 nodes; check is a YES's verifier.
+    A target that prefilter_degseq refutes is NO at 0 nodes, before
+    candidates() builds the decider's lexicographic candidate triples;
+    check is a YES's verifier.
     """
     started = perf_counter()
-    check_int(budget, "budget", nonnegative=True)  # before any answer, a filter's too
-    searched = candidates()
+    check_int(budget, "budget", nonnegative=True)  # before any answer, the prefilter's too
     answer, edges, separator, nodes = (
-        ("NO", None, None, 0) if searched is None else _run_search(n, searched, target, budget)
+        ("NO", None, None, 0)
+        if prefilter_degseq(target) is not None
+        else _run_search(target.n, candidates(), target.values, budget)
     )
     certificate = _own_certificate(
-        lambda: Hypergraph(n, edges) if answer == "YES" else None, check, "search"
+        lambda: Hypergraph(target.n, edges) if answer == "YES" else None, check, "search"
     )
     millis = int((perf_counter() - started) * 1000)
     used = nodes / budget if budget > 0 else 1.0
@@ -408,11 +410,7 @@ def _decide(
 
 def decide_degseq(d: DegreeSequence, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Decide whether d is the degree sequence of a 3-hypergraph on [n]."""
-
-    def candidates() -> Union[list[Triple], None]:
-        return None if prefilter_degseq(d) is not None else enumerate_triples(d.n)
-
-    return _decide(d.n, d.values, candidates, lambda h: verify_certificate(h, d), budget)
+    return _decide(d, lambda: enumerate_triples(d.n), lambda h: verify_certificate(h, d), budget)
 
 
 def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -426,9 +424,7 @@ def decide_zero(inst: ZeroWeightInstance, budget: int = DEFAULT_BUDGET) -> Decis
         triples = enumerate_triples(inst.n)
         return [x for x, v in zip(triples, triple_sums(inst.w.values, triples)) if v == 0]
 
-    return _decide(
-        inst.n, inst.c.values, zero_triples, lambda h: verify_zero_certificate(h, inst), budget
-    )
+    return _decide(inst.c, zero_triples, lambda h: verify_zero_certificate(h, inst), budget)
 
 
 def decide_partition(
@@ -438,6 +434,7 @@ def decide_partition(
 
     w.x = 3(a.x - b) makes the feasible triples and certificates the same;
     when 3 does not divide n, the all-ones target total is not divisible by
-    3 either, so _run_search refuses it as NO at 0 nodes.
+    3 either, so the prefilter refuses it as NO at 0 nodes, before any
+    triple is enumerated.
     """
     return decide_zero(reduce_partition_to_zero(inst), budget)

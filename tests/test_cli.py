@@ -70,16 +70,25 @@ class TestDecide:
         assert err.endswith("internal error: RuntimeError: engine bug\n")
 
     @pytest.mark.parametrize(
-        "golden", ["degseq_yes.json", "zero_weight_no.json", "three_partition_6.json"]
+        "doc",
+        [
+            GOLDENS.joinpath("degseq_yes.json").read_text(),
+            '{"problem":"zero_weight","w":[0,0,0],"c":[1,1,1]}',
+            GOLDENS.joinpath("three_partition_6.json").read_text(),
+        ],
+        ids=["degseq_yes.json", "zero_weight_yes", "three_partition_6.json"],
     )
-    def test_malformed_engine_output_exit_4(self, capsys, monkeypatch, golden):
+    def test_malformed_engine_output_exit_4(self, capsys, monkeypatch, tmp_path, doc):
         # a repeated triple fails Hypergraph construction with ValueError; an
-        # engine fault must not read as the exit 2 of an invalid instance
+        # engine fault must not read as the exit 2 of an invalid instance.
+        # Each instance passes the prefilter, so the search is reached.
         def broken(n, candidates, target, budget):
             return "YES", ((0, 1, 2), (0, 1, 2)), None, 1
 
         monkeypatch.setattr(hyperdeg.solver, "_run_search", broken)
-        code, out, err = run(capsys, "decide", "--input", str(GOLDENS / golden))
+        inst = tmp_path / "inst.json"
+        inst.write_text(doc)
+        code, out, err = run(capsys, "decide", "--input", str(inst))
         assert code == 4
         assert out == ""
         assert err.endswith(
@@ -111,6 +120,15 @@ class TestDecide:
         code, out, err = run(capsys, "decide", "--input", str(inst))
         assert (code, out) == (2, "")
         assert "outside the signed 64-bit range" in err
+
+    def test_demand_total_overflow_exit_2(self, capsys, tmp_path):
+        # a valid zero-weight instance whose demand total 3 * 2**62 leaves
+        # i64: the prefilter refuses it as it refuses the degree sequence
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"problem":"zero_weight","w":[1,-1,0],"c":[%d,%d,%d]}' % ((2**62,) * 3))
+        code, out, err = run(capsys, "decide", "--input", str(inst))
+        assert (code, out) == (2, "")
+        assert "degree total" in err and "outside the signed 64-bit range" in err
 
     def test_zero_weight_instance(self, capsys):
         code, doc = out_json(capsys, "decide", "--input", str(GOLDENS / "zero_weight_no.json"))

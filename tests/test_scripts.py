@@ -32,6 +32,27 @@ def test_script_runs(script, args, expect):
     assert expect in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "script, args, expect",
+    [
+        ("bench_engine.py", ["--per-size", "0"], "--per-size must be at least 1"),
+        ("equivalence_experiment.py", ["--n", "0"], "--n must be a multiple of 3 from 3 to 12"),
+    ],
+    ids=["bench_engine-per-size-0", "equivalence_experiment-n-0"],
+)
+def test_script_rejects_empty_runs(script, args, expect):
+    # an argument that leaves nothing to run is a usage error (exit 2),
+    # not a traceback from deep inside the run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ") and expect in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _engine_golden():
     path = ROOT / "scripts" / "engine_golden.py"
     spec = importlib.util.spec_from_file_location("engine_golden", path)

@@ -11,6 +11,7 @@ from hyperdeg import (
     DegreeSequence,
     Hypergraph,
     InstanceTooLargeError,
+    Int64OverflowError,
     SplitMix64,
     ThreePartitionInstance,
     WeightVector,
@@ -155,13 +156,15 @@ class TestDecideZero:
         assert out.answer == "YES"
         assert verify_zero_certificate(out.certificate.edges, inst)
 
-    def test_huge_demand_is_refused_by_the_search(self):
-        # the demand order's own sum is unchecked: an i64-checked sum
-        # (3 * 2**62) would raise Int64OverflowError here, where the search
-        # refuses at its first node (one candidate cannot carry 2**62)
-        inst = ZeroWeightInstance(WeightVector((1, -1, 0)), DegreeSequence((2**62,) * 3))
-        out = decide_zero(inst, budget=2000)
-        assert (out.answer, out.stats.nodes) == ("NO", 1)
+    def test_demand_total_outside_i64_is_refused_by_the_prefilter(self):
+        # c's total 3 * 2**62 leaves i64: the prefilter in front of every
+        # k = 3 decider refuses it as it refuses the same degree sequence
+        c = DegreeSequence((2**62,) * 3)
+        inst = ZeroWeightInstance(WeightVector((1, -1, 0)), c)
+        with pytest.raises(Int64OverflowError, match="degree total"):
+            decide_zero(inst, budget=2000)
+        with pytest.raises(Int64OverflowError, match="degree total"):
+            decide_degseq(c, budget=2000)
 
 
 class TestDecidePartition:
@@ -213,6 +216,43 @@ class TestDecidePartition:
         assert out.certificate is None and not seen
 
 
+# c_0 = 2 exceeds the implied edge count E = 1: a prefilter NO for problem (2)
+ZERO_PREFILTER_NO = ZeroWeightInstance(WeightVector((0,) * 4), DegreeSequence((2, 1, 0, 0)))
+
+
+class TestPrefilterFrontDoor:
+    @pytest.mark.parametrize(
+        "decide, inst",
+        [
+            (decide_partition, ThreePartitionInstance((1,) * 100, 3)),
+            (decide_zero, ZERO_PREFILTER_NO),
+            (decide_degseq, DegreeSequence((2, 2, 2))),
+        ],
+        ids=["partition", "zero", "degseq"],
+    )
+    @pytest.mark.parametrize("budget", [0, 1, 10**6])
+    def test_refuted_target_never_reaches_the_filter(self, monkeypatch, decide, inst, budget):
+        # every zero-weight certificate is a 3-hypergraph with degrees c,
+        # so the prefilter refutes for all three problems, before any
+        # candidate triple is enumerated or ordered
+        calls = []
+
+        def spy(name):
+            real = getattr(solver, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for name in ("enumerate_triples", "_ordered_candidates"):
+            monkeypatch.setattr(solver, name, spy(name))
+        out = decide(inst, budget=budget)
+        assert (out.answer, out.stats.nodes, out.separator) == ("NO", 0, None)
+        assert out.certificate is None and not calls
+
+
 class TestBudgetCheck:
     @pytest.mark.parametrize(
         "decide, inst",
@@ -220,10 +260,14 @@ class TestBudgetCheck:
             (decide_degseq, DegreeSequence((2, 2, 2))),
             (decide_degseq, DegreeSequence((1, 1, 1))),
             (decide_zero, ZeroWeightInstance(WeightVector((0, 0, 0)), DegreeSequence((1, 1, 1)))),
+            (decide_zero, ZERO_PREFILTER_NO),
             (decide_partition, ThreePartitionInstance((1, 1, 1, 1), 3)),
             (decide_partition, ThreePartitionInstance((1, 1, 1), 3)),
         ],
-        ids=["prefilter-no", "degseq", "zero", "partition-n-not-divisible-by-3", "partition"],
+        ids=[
+            "prefilter-no", "degseq", "zero", "zero-prefilter-no",
+            "partition-n-not-divisible-by-3", "partition",
+        ],
     )
     @pytest.mark.parametrize("budget", [-1, 2.5, "10"])
     def test_rejected_before_any_answer(self, decide, inst, budget):

@@ -2,7 +2,7 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperdeg import (
