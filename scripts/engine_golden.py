@@ -22,7 +22,7 @@ polytope row adds the separator):
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, at budgets
   2000 and 10^6: the instances that outlast the search's allowance and
-  reach the polytope layer, apart from the 14 rows the root bound
+  reach the polytope layer, apart from the 60 rows the root bound
   refutes at 1 node. Nodes count its pivots; the row ends with the
   certificate edges and the NO separator, each null when absent.
 

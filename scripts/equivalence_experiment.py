@@ -44,6 +44,8 @@ def main() -> int:
 
     if args.n % 3 or not 3 <= args.n <= 12:
         parser.error("--n must be a multiple of 3 from 3 to 12 (oracle guard)")
+    if not 0 <= args.planted_fraction <= 1:
+        parser.error("--planted-fraction must be from 0 to 1")
 
     planted_cutoff = int(args.count * args.planted_fraction)
     tally: Counter[str] = Counter()

@@ -33,25 +33,39 @@ candidate counts per vertex, a branch is cut when
 Each rule is a cheap necessary condition on any completion, so the search
 is exact: YES comes with a certificate, NO means the space was exhausted.
 
-Before the first node, the root bound (_root_separator) compares two sums
-on the searched side. A realization H of t has E = sum(t) / 3 edges and
-sum_{e in H} (t_i + t_j + t_k) = sum_v t_v^2, so sum_v t_v^2 can never
-exceed the sum of the E largest candidate demands, which the demand order
-has just ranked. When it does, y = 3t - theta*1, with theta the E-th
-largest demand, is a separator, by the identity
+Before the first node, the root bound (_root_separator) looks for a
+separator of one simple kind. A realization H of t has E = sum(t) / 3
+edges, and for any integer weights s on the vertices,
+sum_{e in H} s(e) = s.t, with s(e) = s_i + s_j + s_k. So s.t can never
+exceed the sum of the E largest candidate scores s(e); when it does,
+y = 3s - theta*1, with theta the E-th largest score, is a separator, by
+the identity
 
-  y.t - sum_e max(0, y(e)) = 3 (sum_v t_v^2 - top-E demand sum)
+  y.t - sum_e max(0, y(e)) = 3 (s.t - top-E score sum)
 
-over the candidates that were ordered, so the comparison fires exactly
-when y separates them. Lowering y at the zero-demand vertices, until no
-dropped candidate scores above 0, makes it separate the full list too
-(any separator of the searched side gets this, the polytope's as well).
-The answer is NO, with y as its separator, only once
-core.verify_separator accepts y on the full candidate list; otherwise the
-search runs as if the bound had not fired. The bound costs one node, like
-a root that fails (b)-(d), and only runs on a budget of at least 1. E is
-at most the candidate count, so every t_v is at most 3m and y stays far
-inside i64.
+over the candidates that were scored, so the comparison fires exactly
+when y separates them. The bound tries s = t first, whose scores are the
+demands the demand order has just ranked (there s.t = sum_v t_v^2).
+f(s) = s.t - top-E sum is concave, and t - deg(T), T the E candidates of
+largest score, is a supergradient of f. So while s does not fire, a step
+s <- 2s + t - deg(T) climbs f, the candidates are scored and sorted
+again, and the new s is tried, at most ROOT_STEPS times. Two exact
+tests stop the climb where the s at hand cannot fire: s.t <= E*theta
+(each of the E largest scores is at least theta), and, for a new s,
+s.(t - deg(T)) <= 0 (T's own score sum is at most the top-E sum).
+Targets reduced from 3-partition lie on the boundary of the polytope
+below, so a NO among them needs a separator: at n <= 12, s = t finds one
+for about 57% of those that reach the search, and a step or two for most
+of the rest.
+Lowering y at the zero-demand vertices, until no dropped candidate
+scores above 0, makes it separate the full list too (any separator of
+the searched side gets this, the polytope's as well). The answer is NO,
+with y as its separator, only once core.verify_separator accepts y on
+the full candidate list; otherwise the search runs as if the bound had
+not fired. The bound costs one node, like a root that fails (b)-(d), and
+only runs on a budget of at least 1. Every t_v and every |t_v - deg_v|
+is at most 3E, and E at most the candidate count, so every |s_v| stays
+below 3E * 2^(ROOT_STEPS + 1) and y far inside i64.
 
 The rules cannot see what the polytope {Mx = t, 0 <= x <= 1} forces (on
 reduced instances, S+ in and S- out of every realization), so a search
@@ -79,6 +93,7 @@ counts (regenerated by scripts/engine_golden.py).
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 from time import perf_counter
 from typing import Callable, Sequence, Union
 
@@ -109,6 +124,8 @@ from .reduction import (
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
 ALLOWANCE = 500
+# supergradient steps the root bound may take from s = t before it gives up
+ROOT_STEPS = 3
 
 
 def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
@@ -266,24 +283,51 @@ def _ordered_candidates(
 
 
 def _root_separator(
-    target: Sequence[int], demand: list[int], order: Sequence[int], size: int
+    target: Sequence[int],
+    candidates: Sequence[Triple],
+    demand: list[int],
+    order: Sequence[int],
+    size: int,
 ) -> Union[tuple[int, ...], None]:
-    """The root bound: y = 3t - theta*1 if it refutes t, else None.
+    """The root bound: y = 3s - theta*1 for the first s on its path that refutes t.
 
-    demand and order are those of _ordered_candidates on the searched
-    candidates, and size is sum(t) / 3. It fires when sum_v t_v^2 exceeds
-    the sum of the size largest demands, theta the size-th (see the
-    module docstring); never when size exceeds the candidate count.
+    candidates are the searched candidates, demand and order those of
+    _ordered_candidates on them, and size is sum(t) / 3. From s = t, it
+    fires when s.t exceeds the sum of the size largest scores s(e), theta
+    the size-th; otherwise s <- 2s + t - deg(T), T those size candidates,
+    and the candidates are scored and sorted again, at most ROOT_STEPS
+    times (see the module docstring). None when no s on the path fires,
+    when a stop shows that s cannot, or when size exceeds the candidate
+    count.
     """
     if not 0 < size <= len(order):
         return None
-    theta = demand[order[size - 1]]
-    squares = sum(t * t for t in target)
-    # each of the size largest demands is at least theta, so most
-    # realizable targets are settled without the sum
-    if squares <= size * theta or squares <= sum(map(demand.__getitem__, order[:size])):
-        return None
-    return tuple(3 * t - theta for t in target)
+    s, scores = target, demand
+    for step in range(ROOT_STEPS + 1):
+        theta = scores[order[size - 1]]
+        value = sum(map(mul, s, target))
+        # each of the size largest scores is at least theta, so most
+        # realizable targets are settled without the sum
+        if value <= size * theta:
+            return None
+        top = order[:size]
+        if value > sum(map(scores.__getitem__, top)):
+            return tuple(3 * v - theta for v in s)
+        if step == ROOT_STEPS:
+            break
+        gap = list(target)  # t - deg(T), a supergradient of s.t - top-E sum
+        for p in top:
+            i, j, k = candidates[p]
+            gap[i] -= 1
+            gap[j] -= 1
+            gap[k] -= 1
+        s = [2 * v + g for v, g in zip(s, gap)]
+        # T's s-sum is at most the top-E sum, so this s cannot fire
+        if sum(map(mul, s, gap)) <= 0:
+            return None
+        scores = [s[i] + s[j] + s[k] for i, j, k in candidates]
+        order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
+    return None
 
 
 def _run_search(
@@ -301,8 +345,9 @@ def _run_search(
     runs on the complement target and the chosen set is flipped back
     afterwards. Candidates through a vertex of zero demand on the searched
     side are then dropped; the full list stays for flipping a YES back and
-    for checking a separator. A root bound that the check accepts answers
-    NO at one node.
+    for checking a separator. A separator that the root bound's short
+    ascent proposes (_root_separator, from s = t) and the check accepts
+    answers NO at one node.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -353,7 +398,7 @@ def _run_search(
         return y if verify_separator(y, target, candidates) else None
 
     if budget:
-        y = certified(_root_separator(effective, demand, order, size))
+        y = certified(_root_separator(effective, searched, demand, order, size))
         if y is not None:
             return "NO", None, y, 1
     dive: list[int] = []

@@ -37,12 +37,22 @@ def test_script_runs(script, args, expect):
     [
         ("bench_engine.py", ["--per-size", "0"], "--per-size must be at least 1"),
         ("equivalence_experiment.py", ["--n", "0"], "--n must be a multiple of 3 from 3 to 12"),
+        ("equivalence_experiment.py", ["--planted-fraction", "2"],
+         "--planted-fraction must be from 0 to 1"),
+        ("equivalence_experiment.py", ["--planted-fraction", "-0.5"],
+         "--planted-fraction must be from 0 to 1"),
     ],
-    ids=["bench_engine-per-size-0", "equivalence_experiment-n-0"],
+    ids=[
+        "bench_engine-per-size-0",
+        "equivalence_experiment-n-0",
+        "equivalence_experiment-planted-fraction-2",
+        "equivalence_experiment-planted-fraction-negative",
+    ],
 )
 def test_script_rejects_empty_runs(script, args, expect):
-    # an argument that leaves nothing to run is a usage error (exit 2),
-    # not a traceback from deep inside the run
+    # an argument that leaves nothing to run, or a fraction that is no
+    # fraction, is a usage error (exit 2), not a traceback from deep
+    # inside the run or a report of counts the run never had
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],

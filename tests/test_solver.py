@@ -455,6 +455,40 @@ class TestRootBound:
             assert out.separator == (-6, -3, 0, 3, 3)
             assert verify_separator(out.separator, d.values, enumerate_triples(5))
 
+    def test_reduced_no_refuted_by_a_step(self):
+        # the reduction of a = (5, 7, 3, 2, 0, 0, 0, 4, 3), b = 8: s = t does
+        # not fire, a supergradient step from it does, so this NO is
+        # answered at the root instead of after the allowance and the LP
+        inst = ThreePartitionInstance((5, 7, 3, 2, 0, 0, 0, 4, 3), 8)
+        d = reduce_partition_to_degseq(inst).degseq.d
+        assert d.values == (17, 26, 13, 13, 7, 7, 7, 17, 13)
+        with _root_firings() as fired:
+            out = decide_degseq(d, budget=2000)
+        assert fired == [True]
+        assert (out.answer, out.stats.nodes) == ("NO", 1)
+        assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
+        assert not bruteforce_partition(inst)
+
+    @pytest.mark.parametrize("n, max_value", [(9, 8), (12, 20)])
+    def test_fires_only_on_no_reduced(self, n, max_value):
+        # every firing, at s = t or after steps, is a NO of the oracle, and
+        # its separator holds on all triples
+        triples = enumerate_triples(n)
+        answered = 0
+        with _root_firings() as fired:
+            for seed, planted in product(range(100), (True, False)):
+                inst = gen_partition(n, max_value, seed=seed, planted=planted)
+                d = reduce_partition_to_degseq(inst).degseq.d
+                fired.clear()
+                out = decide_degseq(d, budget=2000)
+                if not any(fired):
+                    continue
+                assert not bruteforce_partition(inst), (seed, planted)
+                assert (out.answer, out.stats.nodes) == ("NO", 1), (seed, planted)
+                assert verify_separator(out.separator, d.values, triples), (seed, planted)
+                answered += 1
+        assert answered > 20
+
     def test_flipped_side_separator(self):
         # asks for 8 of the 10 triples on [5], so the complement
         # (0, 1, 1, 1, 3) is searched: sum t^2 = 12 exceeds 5 + 5. There
@@ -569,16 +603,27 @@ class TestPolytopeLayer:
             assert again.separator == settled.separator
         assert decide_degseq(d, budget=nodes - 1).answer == "UNKNOWN"
 
-    def test_flipped_lp_separator_on_the_full_candidates(self):
+    def test_flipped_lp_separator_on_the_full_candidates(self, monkeypatch):
         # the complement is searched, where the vertices that every triple
         # must contain have zero demand and no candidates; the LP's
         # separator is lowered there, else the check on all triples
-        # refuses it and the search ends UNKNOWN at 2000
+        # refuses it and the search ends UNKNOWN at 2000. The root bound
+        # refutes this target first, so it is switched off to reach the LP
+        monkeypatch.setattr(solver, "_root_separator", lambda *args: None)
         inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
         assert (out.answer, out.stats.nodes) == ("NO", 547)
         assert not bruteforce_partition(inst)
+        assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
+
+    def test_flipped_root_separator_on_the_full_candidates(self):
+        # the same target with the root bound on: its separator of the
+        # complement is lowered and negated like the LP's, at one node
+        inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
+        d = reduce_partition_to_degseq(inst).degseq.d
+        out = decide_degseq(d, budget=2000)
+        assert (out.answer, out.stats.nodes) == ("NO", 1)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
     def test_decide_zero_shares_the_layer(self):
