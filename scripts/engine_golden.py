@@ -21,13 +21,19 @@ polytope row adds the separator):
   vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, at budgets
-  2000 and 10^6: the instances that outlast the search's allowance and
-  reach the polytope layer, apart from the 60 rows the root bound
-  refutes at 1 node. Nodes count its pivots; the row ends with the
-  certificate edges and the NO separator, each null when absent.
+  2000 and 10^6: 24 of its rows reach the polytope layer, 60 are
+  refuted by the root bound at 1 node, and the plain search decides the
+  rest. Nodes count the LP's pivots; the row ends with the certificate
+  edges and the NO separator, each null when absent.
 
 The rows of the first five sections all decide within 255 nodes, below the
 search's allowance, so the polytope layer never runs on them.
+
+The raw sections prepare their input as the deciders do, since `_search`
+checks neither half of its precondition: a target total not divisible by
+3 is NO at 0 nodes without a search (the prefilter's refusal), and
+`_includable` drops the candidates through a zero-demand vertex before
+`_ordered_candidates` orders the rest.
 
 tests/test_scripts.py replays every row through --diff (below) and
 demands every count 0. Rerun this only when a change is meant to move
@@ -70,7 +76,7 @@ from hyperdeg import (
     reduce_partition_to_degseq,
     sign_partition,
 )
-from hyperdeg.solver import _ordered_candidates, _search
+from hyperdeg.solver import _includable, _ordered_candidates, _search
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "goldens" / "engine.json"
 SEARCH_BUDGETS = (3, 25, 10**7)
@@ -174,18 +180,24 @@ def _decided(out):
     return [out.answer, out.stats.nodes, _edges(cert)]
 
 
+def raw_search(n, candidates, target, budget):
+    """`_search` on input prepared as the deciders prepare it (see above)."""
+    if sum(target) % 3:
+        return "NO", None, 0
+    ordered, *_ = _ordered_candidates(_includable(candidates, target), target)
+    return _search(n, ordered, target, budget)
+
+
 def record() -> dict:
     search = []
     for n, target in search_targets():
-        ordered, *_ = _ordered_candidates(enumerate_triples(n), target)
         for budget in SEARCH_BUDGETS:
-            answer, edges, nodes = _search(n, ordered, target, budget)
+            answer, edges, nodes = raw_search(n, enumerate_triples(n), target, budget)
             search.append([n, list(target), budget, answer, nodes, _edges(edges)])
     sparse = []
     for n, cands, target in sparse_cases():
-        ordered, *_ = _ordered_candidates(cands, target)
         for budget in SPARSE_BUDGETS:
-            answer, edges, nodes = _search(n, ordered, target, budget)
+            answer, edges, nodes = raw_search(n, cands, target, budget)
             row = [n, _edges(cands), list(target), budget, answer, nodes, _edges(edges)]
             sparse.append(row)
     degseq = []

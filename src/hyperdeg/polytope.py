@@ -84,15 +84,14 @@ def solve(
         resid[i] -= 1
         resid[j] -= 1
         resid[k] -= 1
-    head = [-1] * n  # the candidate basic in each row; -1 for its artificial
+    head = [-1] * n  # the candidate basic in each row; -1 while its artificial is
     xb = [float(r) for r in resid]
     binv = [[1.0 if c == r else 0.0 for c in range(n)] for r in range(n)]
     y = [1.0 if r > 0 else 0.5 for r in resid]  # the artificials' weights
     pool: list[int] = []
-    art = list(range(n))  # the rows whose artificial is still basic
     pivots = 0
     while True:
-        if all(xb[r] <= _FEASIBLE for r in art):
+        if all(x <= _FEASIBLE for x, p in zip(xb, head) if p < 0):
             status = "feasible"
             break
         q, best = -1, _EPS
@@ -137,9 +136,7 @@ def solve(
             sign[q] = -sign[q]
             continue
         out = head[leave]
-        if out < 0:
-            art.remove(leave)
-        else:
+        if out >= 0:
             # it left at 0 when its value fell, else at 1
             sign[out] = 1.0 if (alpha[leave] > 0) == up else -1.0
         # the duals move by (reduced cost of q) / pivot times the old pivot row

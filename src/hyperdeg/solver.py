@@ -15,16 +15,19 @@ candidates that arrive in lexicographic order). Serving the neediest
 vertex first meets its demand while it still has candidates left, and on
 reduced instances the demand order reaches the forced part of the
 certificate before the search can wander (pure lexicographic order needs
-billions of nodes there). Candidates through a vertex of zero demand are
-dropped before they are ordered, so every candidate the search sees is
-includable. A target that asks for more than half the candidates, and for
-no vertex more than its candidate degree, is searched as its complement
-(see _run_search). At each node, on residual degrees r and the undecided
+billions of nodes there). The search trusts two facts it never checks:
+the prefilter has refused every total not divisible by 3, and _includable
+has dropped every candidate through a vertex of zero demand before the
+order is built, so every candidate the search sees is includable. A
+target that asks for more than half the candidates, and for no vertex more
+than its candidate degree, is searched as its complement (see
+_run_search). At each node, on residual degrees r and the undecided
 candidate counts per vertex, a branch is cut when
 
   (a) some r_v would go negative (never: a candidate is dropped as soon
       as one of its vertices is saturated),
-  (b) the residual total is not divisible by 3,
+  (b) the residual total is not divisible by 3 (never past the prefilter:
+      a branch moves the total by 0 or 3),
   (c) some r_v exceeds a third of the residual total, or
   (d) some r_v exceeds the number of undecided candidates containing v
       that are still includable (a candidate stops being includable once
@@ -93,9 +96,9 @@ counts (regenerated by scripts/engine_golden.py).
 from __future__ import annotations
 
 from math import comb
-from operator import mul
+from operator import mul, sub
 from time import perf_counter
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     DEFAULT_BUDGET,
@@ -158,13 +161,15 @@ def _search(
 ) -> tuple[Answer, Union[tuple[Triple, ...], None], int]:
     """Run the include/exclude DFS; returns (answer, edges or None, nodes).
 
+    Precondition, unchecked: 3 divides sum(target), and every candidate's
+    vertices have positive demand (see _run_search).
+
     Iterative over an explicit stack, so the depth is bounded by the
     candidate count rather than by the interpreter's recursion limit. Bit p
     of the int `live` marks candidate p as undecided and still includable
     and vmask[v] marks the candidates through v, so avail[v] is
     (live & vmask[v]).bit_count() and saturating u kills every candidate
-    through it with one AND; candidates through a zero-demand vertex are
-    killed once, up front. Each node branches on the lowest live candidate
+    through it with one AND. Each node branches on the lowest live candidate
     through v, the vertex of largest residual (lowest index on ties), so
     candidates' order in the list only ranks those through one vertex.
     An include recomputes v from the max(r) that rule (c) needs anyway; an
@@ -182,8 +187,6 @@ def _search(
     """
     r = list(target)
     total = sum(r)
-    if total % 3:
-        return "NO", None, 0
     vmask = [0] * n
     for p, (i, j, k) in enumerate(candidates):
         bit = 1 << p
@@ -191,9 +194,6 @@ def _search(
         vmask[j] |= bit
         vmask[k] |= bit
     live = (1 << len(candidates)) - 1
-    for rv, mv in zip(r, vmask):
-        if not rv:
-            live &= ~mv
     ok = all(3 * rv <= total and rv <= (live & mv).bit_count() for rv, mv in zip(r, vmask))
     v = max(range(n), key=r.__getitem__, default=0)
     stack: list[tuple[int, int, bool, int]] = []
@@ -257,6 +257,23 @@ def _search(
         )
 
 
+def _includable(candidates: Sequence[Triple], target: Sequence[int]) -> Sequence[Triple]:
+    """The candidates through no vertex of zero demand, as _search requires."""
+    if 0 not in target:
+        return candidates
+    return [x for x in candidates if target[x[0]] and target[x[1]] and target[x[2]]]
+
+
+def _degrees(n: int, triples: Iterable[Triple]) -> list[int]:
+    """How many of the triples pass through each of the n vertices."""
+    deg = [0] * n
+    for i, j, k in triples:
+        deg[i] += 1
+        deg[j] += 1
+        deg[k] += 1
+    return deg
+
+
 def _ordered_candidates(
     candidates: Sequence[Triple], target: Sequence[int]
 ) -> tuple[list[Triple], list[int], list[int]]:
@@ -265,14 +282,14 @@ def _ordered_candidates(
     Returns the ordered candidates, each candidate's demand (in input
     order) and the order itself (order[r] is the input position of the
     r-th), so the root bound of _run_search can sum the largest demands
-    without a second sort.
+    without a second sort; its later steps rank by their scores s here too.
 
     Precondition: candidates are in lexicographic order (enumerate_triples
     or a filtered sublist of it). The sort is stable, reverse=True
     included, so ties keep that order. The demand sum is left unchecked:
     each demand is at most the target total, which the prefilter checked
     against i64 (a complement target is searched only when its total is
-    the smaller).
+    the smaller); the root bound's scores stay far inside i64 too.
 
     _search branches through the vertex of largest residual, so this order
     only decides which of that vertex's candidates it tries first.
@@ -285,24 +302,23 @@ def _ordered_candidates(
 def _root_separator(
     target: Sequence[int],
     candidates: Sequence[Triple],
-    demand: list[int],
-    order: Sequence[int],
+    ranked: tuple[list[Triple], list[int], list[int]],
     size: int,
 ) -> Union[tuple[int, ...], None]:
     """The root bound: y = 3s - theta*1 for the first s on its path that refutes t.
 
-    candidates are the searched candidates, demand and order those of
-    _ordered_candidates on them, and size is sum(t) / 3. From s = t, it
-    fires when s.t exceeds the sum of the size largest scores s(e), theta
-    the size-th; otherwise s <- 2s + t - deg(T), T those size candidates,
-    and the candidates are scored and sorted again, at most ROOT_STEPS
-    times (see the module docstring). None when no s on the path fires,
-    when a stop shows that s cannot, or when size exceeds the candidate
-    count.
+    candidates are the searched candidates, ranked is _ordered_candidates
+    on them and t, and size is sum(t) / 3. From s = t, it fires when s.t
+    exceeds the sum of the size largest scores s(e), theta the size-th;
+    otherwise s <- 2s + t - deg(T), T those size candidates, and the
+    candidates are scored and ranked again, at most ROOT_STEPS times (see
+    the module docstring). None when no s on the path fires, when a stop
+    shows that s cannot, or when size exceeds the candidate count.
     """
+    ordered, scores, order = ranked
     if not 0 < size <= len(order):
         return None
-    s, scores = target, demand
+    s = target
     for step in range(ROOT_STEPS + 1):
         theta = scores[order[size - 1]]
         value = sum(map(mul, s, target))
@@ -310,23 +326,17 @@ def _root_separator(
         # realizable targets are settled without the sum
         if value <= size * theta:
             return None
-        top = order[:size]
-        if value > sum(map(scores.__getitem__, top)):
+        if value > sum(map(scores.__getitem__, order[:size])):
             return tuple(3 * v - theta for v in s)
         if step == ROOT_STEPS:
             break
-        gap = list(target)  # t - deg(T), a supergradient of s.t - top-E sum
-        for p in top:
-            i, j, k = candidates[p]
-            gap[i] -= 1
-            gap[j] -= 1
-            gap[k] -= 1
+        # t - deg(T), a supergradient of s.t - top-E sum
+        gap = list(map(sub, target, _degrees(len(target), ordered[:size])))
         s = [2 * v + g for v, g in zip(s, gap)]
         # T's s-sum is at most the top-E sum, so this s cannot fire
         if sum(map(mul, s, gap)) <= 0:
             return None
-        scores = [s[i] + s[j] + s[k] for i, j, k in candidates]
-        order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
+        ordered, scores, order = _ordered_candidates(candidates, s)
     return None
 
 
@@ -344,10 +354,10 @@ def _run_search(
     candidates and no entry of t exceeds its candidate degree, the engine
     runs on the complement target and the chosen set is flipped back
     afterwards. Candidates through a vertex of zero demand on the searched
-    side are then dropped; the full list stays for flipping a YES back and
-    for checking a separator. A separator that the root bound's short
-    ascent proposes (_root_separator, from s = t) and the check accepts
-    answers NO at one node.
+    side are then dropped (_includable, _search's precondition); the full
+    list stays for flipping a YES back and for checking a separator. A
+    separator that the root bound's short ascent proposes (_root_separator,
+    from s = t) and the check accepts answers NO at one node.
 
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
@@ -363,22 +373,13 @@ def _run_search(
     effective = target
     flipped = False
     if 2 * (total // 3) > len(candidates):
-        cand_deg = [0] * n
-        for i, j, k in candidates:
-            cand_deg[i] += 1
-            cand_deg[j] += 1
-            cand_deg[k] += 1
+        cand_deg = _degrees(n, candidates)
         flipped = all(t <= cd for t, cd in zip(target, cand_deg))
         if flipped:
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))
-    searched = candidates
-    if 0 in effective:
-        # _search would kill them at its root; dropped here, they are never
-        # ordered or masked
-        searched = [
-            x for x in candidates if effective[x[0]] and effective[x[1]] and effective[x[2]]
-        ]
-    ordered, demand, order = _ordered_candidates(searched, effective)
+    searched = _includable(candidates, effective)
+    ranked = _ordered_candidates(searched, effective)
+    ordered = ranked[0]
     size = sum(effective) // 3  # the edge count of every realization
 
     def certified(y: Union[tuple[int, ...], None]) -> Union[tuple[int, ...], None]:
@@ -390,7 +391,7 @@ def _run_search(
         """
         if y is None:
             return None
-        if searched is not candidates:
+        if 0 in effective:
             low = -2 * max(0, *y)
             y = tuple(v if t else min(v, low) for v, t in zip(y, effective))
         if flipped:
@@ -398,7 +399,7 @@ def _run_search(
         return y if verify_separator(y, target, candidates) else None
 
     if budget:
-        y = certified(_root_separator(effective, searched, demand, order, size))
+        y = certified(_root_separator(effective, searched, ranked, size))
         if y is not None:
             return "NO", None, y, 1
     dive: list[int] = []

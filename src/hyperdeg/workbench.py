@@ -202,7 +202,7 @@ def _check_fields(doc: dict, allowed: set[str]) -> None:
 def _load_object(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, > 4300 digits, too deep
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} document must be a JSON object")

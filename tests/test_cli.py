@@ -113,6 +113,14 @@ class TestDecide:
         assert (code, out) == (2, "")
         assert "invalid JSON" in err
 
+    def test_integer_past_the_digit_limit_exit_2(self, capsys, tmp_path):
+        # a parse error like any other: the message names the file
+        inst = tmp_path / "long.json"
+        inst.write_text('{"problem":"degseq","k":3,"d":[%s]}' % ("9" * 5000))
+        code, out, err = run(capsys, "decide", "--input", str(inst))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {inst}: invalid JSON: ")
+
     def test_weight_sum_overflow_exit_2(self, capsys, tmp_path):
         # a valid instance whose triple (0, 2, 4) sums outside i64
         inst = tmp_path / "inst.json"

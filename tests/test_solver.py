@@ -4,7 +4,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdeg import (
@@ -57,6 +57,65 @@ class TestPrefilter:
 
     def test_empty(self):
         assert prefilter_degseq(DegreeSequence(())) is None
+
+
+@contextmanager
+def _search_inputs():
+    """Record (candidates, target) of every _search call."""
+    seen = []
+    real = solver._search
+
+    def spy(n, candidates, target, *args):
+        seen.append((list(candidates), tuple(target)))
+        return real(n, candidates, target, *args)
+
+    solver._search = spy
+    try:
+        yield seen
+    finally:
+        solver._search = real
+
+
+@st.composite
+def _decider_cases(draw):
+    """(decide, instance) for one of the three k = 3 deciders.
+
+    A degseq or zero-weight target is the degree vector of a random set of
+    the decider's candidates that avoids some vertices, so it has zero
+    entries, or its complement within all the candidates, which the search
+    flips back. Either may then move one unit between two vertices of equal
+    weight, and gain one unit at a vertex of weight 0 (both keep w.c = 0;
+    the latter leaves a total not divisible by 3). A 3-partition target is
+    all ones, on n not always divisible by 3.
+    """
+    kind = draw(st.sampled_from(("degseq", "zero", "partition")))
+    if kind == "partition":
+        n, seed = draw(st.sampled_from((3, 4, 5, 6, 9))), draw(st.integers(0, 999))
+        if n % 3:
+            return decide_partition, ThreePartitionInstance((1,) * n, 3)
+        return decide_partition, gen_partition(n, 8, seed=seed, planted=draw(st.booleans()))
+    n = draw(st.integers(3, 8))
+    w = (0,) * n
+    if kind == "zero":
+        w = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    triples = sign_partition(WeightVector(w)).s_zero.edges
+    dead = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    picked = [x for x, k in zip(triples, keep) if k and not any(dead[v] for v in x)]
+    c = list(degree_sum(Hypergraph(n, picked)))
+    if draw(st.booleans()):
+        c = [cd - t for cd, t in zip(degree_sum(Hypergraph(n, triples)), c)]
+    moves = [(u, v) for u in range(n) for v in range(n) if u != v and w[u] == w[v] and c[u]]
+    if moves and draw(st.booleans()):
+        u, v = draw(st.sampled_from(moves))
+        c[u] -= 1
+        c[v] += 1
+    zero_weight = [v for v in range(n) if not w[v]]
+    if zero_weight and draw(st.booleans()):
+        c[draw(st.sampled_from(zero_weight))] += 1
+    if kind == "degseq":
+        return decide_degseq, DegreeSequence(c)
+    return decide_zero, ZeroWeightInstance(WeightVector(w), DegreeSequence(c))
 
 
 class TestDecideDegseq:
@@ -115,20 +174,22 @@ class TestDecideDegseq:
         assert first.certificate == second.certificate
         assert first.stats.nodes == second.stats.nodes
 
-    def test_zero_demand_candidates_never_reach_the_search(self, monkeypatch):
-        # every candidate runs through a vertex of zero demand, so none is
-        # ordered or masked; the search starts on an empty list
-        seen = []
-        real = solver._search
-
-        def spy(n, candidates, *args):
-            seen.append(len(candidates))
-            return real(n, candidates, *args)
-
-        monkeypatch.setattr(solver, "_search", spy)
-        out = decide_degseq(DegreeSequence((0,) * 60))
-        assert (out.answer, out.certificate.edges, out.stats.nodes) == ("YES", (), 1)
-        assert seen == [0]
+    @given(_decider_cases())
+    @settings(max_examples=200)
+    # every candidate runs through a vertex of zero demand
+    @example((decide_degseq, DegreeSequence((0,) * 60)))
+    # asks for all four triples on [4]: the complement searched is all zero
+    @example((decide_degseq, DegreeSequence((3, 3, 3, 3))))
+    def test_zero_demand_candidates_never_reach_the_search(self, case):
+        # _search checks neither half of its precondition, so every decider
+        # must hand it a total divisible by 3 and no candidate through a
+        # vertex of zero demand, on the searched side of a flip too
+        decide, inst = case
+        with _search_inputs() as seen:
+            decide(inst, budget=2000)
+        for candidates, target in seen:
+            assert sum(target) % 3 == 0
+            assert all(target[i] and target[j] and target[k] for i, j, k in candidates)
 
 
 class TestDecideZero:
@@ -510,7 +571,8 @@ class TestEngineGolden:
     """
 
     def test_zero_budget(self):
-        assert _search(4, enumerate_triples(4), (1, 1, 1, 0), 0) == ("UNKNOWN", None, 0)
+        # on input that meets _search's precondition: no zero demand
+        assert _search(3, enumerate_triples(3), (1, 1, 1), 0) == ("UNKNOWN", None, 0)
 
     def test_deep_search_has_no_recursion_limit(self):
         # the complete 3-graph on 20 of 25 vertices: 1140 includes deep
@@ -560,13 +622,30 @@ def _key(values):
 
 
 class TestPolytopeLayer:
-    # seeds whose reduced degseq stayed UNKNOWN after 300k plain-search nodes
-    @pytest.mark.parametrize("seed", [44, 47, 53, 56])
-    def test_frontier_no_by_separator(self, seed):
+    @staticmethod
+    def _lp_statuses(monkeypatch):
+        """A list that receives the status of every polytope.solve call."""
+        statuses = []
+        real_solve = polytope.solve
+
+        def spy(*args):
+            result = real_solve(*args)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(polytope, "solve", spy)
+        return statuses
+
+    # unplanted seeds that no root bound refutes: the search outlasts its
+    # allowance and the LP's separator answers NO (at 618, 626, 635 nodes)
+    @pytest.mark.parametrize("seed", [14, 21, 34])
+    def test_frontier_no_by_separator(self, monkeypatch, seed):
+        statuses = self._lp_statuses(monkeypatch)
         inst = gen_partition(12, 20, seed=seed)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
         assert out.answer == "NO"
+        assert statuses == ["infeasible"]
         assert not bruteforce_partition(inst)
         assert out.separator is not None
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
@@ -592,8 +671,9 @@ class TestPolytopeLayer:
     def test_separator_by_rational_reconstruction(self, duals, want):
         assert polytope.separator(duals) == want
 
-    def test_budget_monotone_through_the_layer(self):
-        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
+    def test_budget_monotone_through_the_layer(self, monkeypatch):
+        statuses = self._lp_statuses(monkeypatch)
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=14)).degseq.d
         settled = decide_degseq(d, budget=10**6)
         assert settled.answer == "NO" and settled.separator is not None
         nodes = settled.stats.nodes
@@ -601,7 +681,10 @@ class TestPolytopeLayer:
             again = decide_degseq(d, budget=budget)
             assert (again.answer, again.stats.nodes) == ("NO", nodes)
             assert again.separator == settled.separator
+        assert statuses == ["infeasible"] * 4
+        # one node short, the LP stops at its last pivot before infeasibility
         assert decide_degseq(d, budget=nodes - 1).answer == "UNKNOWN"
+        assert statuses[4:] == ["stopped"]
 
     def test_flipped_lp_separator_on_the_full_candidates(self, monkeypatch):
         # the complement is searched, where the vertices that every triple
@@ -626,17 +709,19 @@ class TestPolytopeLayer:
         assert (out.answer, out.stats.nodes) == ("NO", 1)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
-    def test_decide_zero_shares_the_layer(self):
+    def test_decide_zero_shares_the_layer(self, monkeypatch):
         # all weights 0: every triple is a candidate, as in decide_degseq
-        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=44)).degseq.d
+        statuses = self._lp_statuses(monkeypatch)
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=14)).degseq.d
         inst = ZeroWeightInstance(WeightVector((0,) * 12), d)
         out = decide_zero(inst, budget=2000)
         assert out.answer == "NO"
         assert out.stats.nodes == decide_degseq(d, budget=2000).stats.nodes
         assert verify_separator(out.separator, d.values, sign_partition(inst.w).s_zero.edges)
+        assert statuses == ["infeasible"] * 2
 
-    @staticmethod
-    def _force_layer(monkeypatch):
+    @classmethod
+    def _force_layer(cls, monkeypatch):
         """Allowance 0 and a record of every LP status.
 
         The search keeps the depth of a straight dive, one node short of
@@ -644,16 +729,7 @@ class TestPolytopeLayer:
         many nodes reaches the polytope layer.
         """
         monkeypatch.setattr(solver, "ALLOWANCE", 0)
-        statuses = []
-        real_solve = polytope.solve
-
-        def spy(*args):
-            result = real_solve(*args)
-            statuses.append(result.status)
-            return result
-
-        monkeypatch.setattr(polytope, "solve", spy)
-        return statuses
+        return cls._lp_statuses(monkeypatch)
 
     def test_forced_through_the_layer_agrees_with_bruteforce(self, monkeypatch):
         # the root bound answers most NO here before the layer runs, so the

@@ -161,6 +161,11 @@ class TestParseInstance:
         with pytest.raises(ParseError):
             parse_instance("{nope")
 
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError past Python's 4300 digits
+        with pytest.raises(ParseError, match="4300 digits"):
+            parse_instance('{"problem":"degseq","k":3,"d":[%s]}' % ("9" * 5000))
+
     def test_negative_degree_named_field(self):
         with pytest.raises(ParseError) as err:
             parse_instance('{"problem":"degseq","k":3,"d":[-1]}')
@@ -277,6 +282,10 @@ class TestCertificates:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_certificate('{"certificate":"matching","edges":[]}')
+
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="4300 digits"):
+            parse_certificate('{"certificate":"hypergraph","edges":[[0,1,%s]]}' % ("9" * 5000))
 
 
 class TestEndToEndPipeline:
