@@ -20,11 +20,12 @@ polytope row adds the separator):
   random subset of S0), every other one with a unit of c moved between two
   vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
 - "polytope": `decide_degseq(d, budget)` on d reduced from
-  `gen_partition(12, 20, s)`, s < 50, planted and unplanted, at budgets
-  2000 and 10^6: 24 of its rows reach the polytope layer, 60 are
-  refuted by the root bound at 1 node, and the plain search decides the
-  rest. Nodes count the LP's pivots; the row ends with the certificate
-  edges and the NO separator, each null when absent.
+  `gen_partition(12, 20, s)`, s < 50, planted and unplanted, then on the
+  LP_SEEDS targets, at budgets 2000 and 10^6: 94 of its 270 rows reach
+  the polytope layer (24 of them a NO by its separator), 60 are refuted
+  by the root bound at 1 node, and the plain search decides the rest.
+  Nodes count the LP's pivots; the row ends with the certificate edges
+  and the NO separator, each null when absent.
 
 The rows of the first five sections all decide within 255 nodes, below the
 search's allowance, so the polytope layer never runs on them.
@@ -163,10 +164,22 @@ def zero_cases():
         yield w, tuple(c)
 
 
+# the seeds 50 <= s < 200 whose reduced gen_partition(12, 20, s) target reaches
+# polytope.solve at budget 2000, unplanted and planted
+LP_SEEDS = {
+    False: (59, 89, 94, 96, 99, 100, 105, 107, 108, 114, 137, 138, 143, 146, 154,
+            160, 161, 167, 194),
+    True: (57, 77, 99, 100, 102, 103, 114, 116, 123, 133, 135, 142, 146, 148, 167, 180),
+}
+
+
 def polytope_corpus():
-    """Degree sequences reduced from n = 12 instances, planted and unplanted."""
+    """Degree sequences reduced from n = 12 instances: s < 50, then LP_SEEDS."""
     for s in range(50):
         for planted in (True, False):
+            yield reduce_partition_to_degseq(gen_partition(12, 20, s, planted=planted)).degseq.d
+    for planted, seeds in LP_SEEDS.items():
+        for s in seeds:
             yield reduce_partition_to_degseq(gen_partition(12, 20, s, planted=planted)).degseq.d
 
 
