@@ -32,9 +32,10 @@ search's allowance, so the polytope layer never runs on them.
 
 The raw sections prepare their input as the deciders do, since `_search`
 checks neither half of its precondition: a target total not divisible by
-3 is NO at 0 nodes without a search (the prefilter's refusal), and
-`_includable` drops the candidates through a zero-demand vertex before
-`_ordered_candidates` orders the rest.
+3 is NO at 0 nodes without a search (the prefilter's refusal),
+`_includable` drops the candidates through a zero-demand vertex, and
+`_ordered_candidates` ranks the rest, whose triples are listed in that
+order once, as `_run_search` lists them.
 
 tests/test_scripts.py replays every row through --diff (below) and
 demands every count 0. Rerun this only when a change is meant to move
@@ -197,8 +198,9 @@ def raw_search(n, candidates, target, budget):
     """`_search` on input prepared as the deciders prepare it (see above)."""
     if sum(target) % 3:
         return "NO", None, 0
-    ordered, *_ = _ordered_candidates(_includable(candidates, target), target)
-    return _search(n, ordered, target, budget)
+    candidates = _includable(candidates, target)
+    _, order = _ordered_candidates(candidates, target)
+    return _search(n, [candidates[p] for p in order], target, budget)
 
 
 def record() -> dict:

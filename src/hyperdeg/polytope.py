@@ -23,10 +23,11 @@ attractive of a pool (the attractive columns of the last full pricing
 pass, which runs only when the pool holds none). Every column has three
 ones, so a reduced cost is three additions. It starts from the engine's
 own first dive: those candidates start at their upper bound, and one
-artificial per vertex, basic, carries the residual degree. Phase 1
-minimizes a weighted sum of the artificials: weight 1 where the dive left
-demand, 1/2 where it saturated the vertex, so that pricing first tries
-the triples that can move rather than the degenerate ones. Any positive
+artificial per vertex, basic, carries the residual degree: target less
+the dive's degrees, counted by solver._degrees. Phase 1 minimizes a
+weighted sum of the artificials: weight 1 where the dive left demand,
+1/2 where it saturated the vertex, so that pricing first tries the
+triples that can move rather than the degenerate ones. Any positive
 weights make a zero optimum mean feasible and keep every dual a Farkas
 direction, and so does dropping an artificial for good once it leaves
 the basis. Each iteration, a bound flip or a basis change, counts as one
@@ -42,6 +43,7 @@ from math import isfinite, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .core import Triple
+from .solver import _degrees
 
 # reduced costs and ratio-test pivots below this are treated as zero
 _EPS = 1e-9
@@ -77,13 +79,9 @@ def solve(
     # sign[p]: +1 nonbasic at 0, -1 nonbasic at 1, 0 basic; a column is
     # attractive when sign[p] * (y_i + y_j + y_k) is positive
     sign = [1.0] * m
-    resid = list(target)
     for p in start:
         sign[p] = -1.0
-        i, j, k = candidates[p]
-        resid[i] -= 1
-        resid[j] -= 1
-        resid[k] -= 1
+    resid = [t - u for t, u in zip(target, _degrees(n, map(candidates.__getitem__, start)))]
     head = [-1] * n  # the candidate basic in each row; -1 while its artificial is
     xb = [float(r) for r in resid]
     binv = [[1.0 if c == r else 0.0 for c in range(n)] for r in range(n)]

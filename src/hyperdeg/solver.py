@@ -51,9 +51,9 @@ when y separates them. The bound tries s = t first, whose scores are the
 demands the demand order has just ranked (there s.t = sum_v t_v^2).
 f(s) = s.t - top-E sum is concave, and t - deg(T), T the E candidates of
 largest score, is a supergradient of f. So while s does not fire, a step
-s <- 2s + t - deg(T) climbs f, the candidates are scored and sorted
-again, and the new s is tried, at most ROOT_STEPS times. Two exact
-tests stop the climb where the s at hand cannot fire: s.t <= E*theta
+s <- 2s + t - deg(T) climbs f, the positions are ranked again (T read as
+the first E), and the new s is tried, at most ROOT_STEPS times. Two
+exact tests stop the climb where the s at hand cannot fire: s.t <= E*theta
 (each of the E largest scores is at least theta), and, for a new s,
 s.(t - deg(T)) <= 0 (T's own score sum is at most the top-E sum).
 Targets reduced from 3-partition lie on the boundary of the polytope
@@ -276,13 +276,13 @@ def _degrees(n: int, triples: Iterable[Triple]) -> list[int]:
 
 def _ordered_candidates(
     candidates: Sequence[Triple], target: Sequence[int]
-) -> tuple[list[Triple], list[int], list[int]]:
-    """Static candidate order: highest total demand first, then lexicographic.
+) -> tuple[list[int], list[int]]:
+    """The demand ranking: highest total demand first, then lexicographic.
 
-    Returns the ordered candidates, each candidate's demand (in input
-    order) and the order itself (order[r] is the input position of the
-    r-th), so the root bound of _run_search can sum the largest demands
-    without a second sort; its later steps rank by their scores s here too.
+    Returns each candidate's demand (input order) and the input positions
+    by descending demand (order[r] is the position of the r-th): _run_search
+    builds the ordered list once, and the root bound reads its top E, and
+    at each ascent step T, through the positions of its own ranking.
 
     Precondition: candidates are in lexicographic order (enumerate_triples
     or a filtered sublist of it). The sort is stable, reverse=True
@@ -295,14 +295,13 @@ def _ordered_candidates(
     only decides which of that vertex's candidates it tries first.
     """
     demand = [target[i] + target[j] + target[k] for i, j, k in candidates]
-    order = sorted(range(len(candidates)), key=demand.__getitem__, reverse=True)
-    return [candidates[p] for p in order], demand, order
+    return demand, sorted(range(len(candidates)), key=demand.__getitem__, reverse=True)
 
 
 def _root_separator(
     target: Sequence[int],
     candidates: Sequence[Triple],
-    ranked: tuple[list[Triple], list[int], list[int]],
+    ranked: tuple[list[int], list[int]],
     size: int,
 ) -> Union[tuple[int, ...], None]:
     """The root bound: y = 3s - theta*1 for the first s on its path that refutes t.
@@ -310,12 +309,13 @@ def _root_separator(
     candidates are the searched candidates, ranked is _ordered_candidates
     on them and t, and size is sum(t) / 3. From s = t, it fires when s.t
     exceeds the sum of the size largest scores s(e), theta the size-th;
-    otherwise s <- 2s + t - deg(T), T those size candidates, and the
-    candidates are scored and ranked again, at most ROOT_STEPS times (see
-    the module docstring). None when no s on the path fires, when a stop
-    shows that s cannot, or when size exceeds the candidate count.
+    otherwise s <- 2s + t - deg(T), T the candidates at the first size
+    positions, and the positions are ranked again by the new scores, at
+    most ROOT_STEPS times (see the module docstring). None when no s on
+    the path fires, when a stop shows that s cannot, or when size exceeds
+    the candidate count.
     """
-    ordered, scores, order = ranked
+    scores, order = ranked
     if not 0 < size <= len(order):
         return None
     s = target
@@ -331,12 +331,13 @@ def _root_separator(
         if step == ROOT_STEPS:
             break
         # t - deg(T), a supergradient of s.t - top-E sum
-        gap = list(map(sub, target, _degrees(len(target), ordered[:size])))
+        top = map(candidates.__getitem__, order[:size])
+        gap = list(map(sub, target, _degrees(len(target), top)))
         s = [2 * v + g for v, g in zip(s, gap)]
         # T's s-sum is at most the top-E sum, so this s cannot fire
         if sum(map(mul, s, gap)) <= 0:
             return None
-        ordered, scores, order = _ordered_candidates(candidates, s)
+        scores, order = _ordered_candidates(candidates, s)
     return None
 
 
@@ -379,7 +380,7 @@ def _run_search(
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))
     searched = _includable(candidates, effective)
     ranked = _ordered_candidates(searched, effective)
-    ordered = ranked[0]
+    ordered = [searched[p] for p in ranked[1]]
     size = sum(effective) // 3  # the edge count of every realization
 
     def certified(y: Union[tuple[int, ...], None]) -> Union[tuple[int, ...], None]:

@@ -233,7 +233,7 @@ def parse_instance(text: str) -> Instance:
         c = _require_int_list(doc["c"], "c")
         try:
             return ZeroWeightInstance(w=WeightVector(w), c=DegreeSequence(c))
-        except PromiseViolationError as exc:
+        except (PromiseViolationError, Int64OverflowError) as exc:
             raise ParseError(str(exc), "promise") from None
         except ValueError as exc:
             raise ParseError(str(exc), "c") from None
@@ -245,7 +245,7 @@ def parse_instance(text: str) -> Instance:
         b = _require_int(doc["b"], "b", nonnegative=True)
         try:
             return ThreePartitionInstance(a=a, b=b)
-        except PromiseViolationError as exc:
+        except (PromiseViolationError, Int64OverflowError) as exc:
             raise ParseError(str(exc), "promise") from None
         except ValueError as exc:
             raise ParseError(str(exc), "a") from None

@@ -121,6 +121,15 @@ class TestDecide:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {inst}: invalid JSON: ")
 
+    def test_promise_overflow_names_the_file(self, capsys, tmp_path):
+        # sum of a = 2**63 leaves i64 while the promise is checked: a parse
+        # error like any other, so the message names the file
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"problem":"three_partition","a":[%d,%d,%d],"b":0}' % ((2**62,) * 3))
+        code, out, err = run(capsys, "decide", "--input", str(inst))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {inst}: sum of a = {2**63} is outside")
+
     def test_weight_sum_overflow_exit_2(self, capsys, tmp_path):
         # a valid instance whose triple (0, 2, 4) sums outside i64
         inst = tmp_path / "inst.json"

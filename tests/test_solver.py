@@ -414,8 +414,8 @@ class TestDemandOrder:
     def test_matches_the_keyed_reference(self, case):
         candidates, t = case
         reference = sorted(candidates, key=lambda x: (-(t[x[0]] + t[x[1]] + t[x[2]]), x))
-        ordered, demand, order = _ordered_candidates(candidates, t)
-        assert ordered == reference == [candidates[p] for p in order]
+        demand, order = _ordered_candidates(candidates, t)
+        assert [candidates[p] for p in order] == reference
         assert demand == [t[i] + t[j] + t[k] for i, j, k in candidates]
 
     @pytest.mark.parametrize(

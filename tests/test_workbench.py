@@ -191,10 +191,14 @@ class TestParseInstance:
             ('{"problem":"three_partition","a":[1,1,2],"b":3}', "promise"),
             ('{"problem":"degseq","k":4,"d":[0]}', "k"),
             ('{"problem":"degseq","k":3,"d":3}', "d"),
+            # the promise arithmetic leaves i64: sum of a = 2**63, w.c = 2**64
+            ('{"problem":"three_partition","a":[%d,%d,%d],"b":0}' % ((2**62,) * 3), "promise"),
+            ('{"problem":"zero_weight","w":[%d,%d],"c":[4,4]}' % ((2**62,) * 2), "promise"),
         ],
         ids=[
             "zero-weight-missing-c", "partition-missing-a", "negative-c", "negative-a",
-            "partition-promise", "k-not-2-or-3", "not-a-list",
+            "partition-promise", "k-not-2-or-3", "not-a-list", "partition-sum-overflow",
+            "zero-weight-promise-overflow",
         ],
     )
     def test_error_names_field(self, text, field):
