@@ -280,9 +280,9 @@ def _ordered_candidates(
     """The demand ranking: highest total demand first, then lexicographic.
 
     Returns each candidate's demand (input order) and the input positions
-    by descending demand (order[r] is the position of the r-th): _run_search
-    builds the ordered list once, and the root bound reads its top E, and
-    at each ascent step T, through the positions of its own ranking.
+    by descending demand (order[r] is the position of the r-th). _run_search
+    lists the ordered triples once; the root bound reads the top E demands,
+    and each ascent step the triples of T, through positions alone.
 
     Precondition: candidates are in lexicographic order (enumerate_triples
     or a filtered sublist of it). The sort is stable, reverse=True
