@@ -21,13 +21,13 @@ polytope row adds the separator):
   vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, then on the
-  LP_SEEDS targets, at budgets 2000 and 10^6: 94 of its 270 rows reach
+  LP_SEEDS targets, at budgets 2000 and 10^6: 80 of its 270 rows reach
   the polytope layer (24 of them a NO by its separator), 60 are refuted
   by the root bound at 1 node, and the plain search decides the rest.
   Nodes count the LP's pivots; the row ends with the certificate edges
   and the NO separator, each null when absent.
 
-The rows of the first five sections all decide within 255 nodes, below the
+The rows of the first five sections all decide within 265 nodes, below the
 search's allowance, so the polytope layer never runs on them.
 
 The raw sections prepare their input as the deciders do, since `_search`
@@ -165,8 +165,11 @@ def zero_cases():
         yield w, tuple(c)
 
 
-# the seeds 50 <= s < 200 whose reduced gen_partition(12, 20, s) target reaches
-# polytope.solve at budget 2000, unplanted and planted
+# the seeds 50 <= s < 200 whose reduced gen_partition(12, 20, s) target reached
+# polytope.solve at budget 2000, unplanted and planted, when ties of largest
+# residual went to the lowest index; under the smallest-target tie-break the
+# plain search decides 8 of them (unplanted 108, 143, 194, planted 99, 114,
+# 123, 142, 180) first, all YES
 LP_SEEDS = {
     False: (59, 89, 94, 96, 99, 100, 105, 107, 108, 114, 137, 138, 143, 146, 154,
             160, 161, 167, 194),

@@ -7,8 +7,16 @@ one front door, _decide, which runs prefilter_degseq before any filter (a
 zero-weight certificate is a 3-hypergraph with degrees c). Past the
 prefilter, one search engine serves both deciders: depth-first
 include/exclude branching, include tried first. Each node branches through
-the vertex of largest residual demand (lowest index on ties), the rule
-Havel-Hakimi uses for graphs (graph.hh_realize), and takes that vertex's
+the vertex of largest residual demand, the rule Havel-Hakimi uses for
+graphs (graph.hh_realize); among equal residuals it takes the smallest
+searched target, then the lowest index. At equal residual r_v, the
+smallest t_v is the vertex with the fewest edges placed on the current
+path (t_v - r_v): the least served of the neediest, whose remaining demand
+is the largest share of its target. The search stays exact under any
+choice of a vertex of positive residual, since its lowest live candidate
+is either included or excluded, so the rule moves node counts, never an
+answer; a target whose entries are all equal branches by lowest index,
+as the plain largest-residual rule does. The search takes that vertex's
 candidates in a static demand order: highest total demand d_i + d_j + d_k
 first, lexicographic on ties (one stable sort on the demand, over
 candidates that arrive in lexicographic order). Serving the neediest
@@ -170,12 +178,16 @@ def _search(
     and vmask[v] marks the candidates through v, so avail[v] is
     (live & vmask[v]).bit_count() and saturating u kills every candidate
     through it with one AND. Each node branches on the lowest live candidate
-    through v, the vertex of largest residual (lowest index on ties), so
-    candidates' order in the list only ranks those through one vertex.
-    An include recomputes v from the max(r) that rule (c) needs anyway; an
-    exclude leaves r and so v as they were. A frame is
-    (pos, live without pos, included?, v), so backtracking restores two
-    ints and rescans nothing.
+    through v, the vertex of largest residual, then smallest target, then
+    lowest index, so candidates' order in the list only ranks those through
+    one vertex. The rule is one int per vertex, key[v] = r_v * base +
+    (base - 1 - t_v) with base = max(t) + 1: key order is (r_v, -t_v)
+    order, key[v] // base is r_v, and key[v] < base means v is saturated.
+    Every branch moves key by base where it moves r. An include recomputes
+    v from the max(key) that rule (c) needs anyway, key.index taking the
+    lowest index of a tie; an exclude leaves r and so v as they were. A
+    frame is (pos, live without pos, included?, v), so backtracking
+    restores two ints and rescans nothing.
 
     A child differs from its parent, which passed every rule, only where
     the branch touched it, so only that is rechecked: (c) after an include
@@ -185,8 +197,10 @@ def _search(
     A list passed as dive receives the positions the first dive included,
     the include path up to the first failed node (polytope's warm start).
     """
-    r = list(target)
-    total = sum(r)
+    total = sum(target)
+    base = max(target, default=0) + 1
+    # the residual r_v is key[v] // base, and r starts at t
+    key = [t * base + base - 1 - t for t in target]
     vmask = [0] * n
     for p, (i, j, k) in enumerate(candidates):
         bit = 1 << p
@@ -194,8 +208,8 @@ def _search(
         vmask[j] |= bit
         vmask[k] |= bit
     live = (1 << len(candidates)) - 1
-    ok = all(3 * rv <= total and rv <= (live & mv).bit_count() for rv, mv in zip(r, vmask))
-    v = max(range(n), key=r.__getitem__, default=0)
+    ok = all(3 * rv <= total and rv <= (live & mv).bit_count() for rv, mv in zip(target, vmask))
+    v = key.index(max(key)) if key else 0
     stack: list[tuple[int, int, bool, int]] = []
     nodes = 0
     while True:
@@ -210,26 +224,26 @@ def _search(
             rest = live ^ low
             pos = low.bit_length() - 1
             i, j, k = candidates[pos]
-            r[i] -= 1
-            r[j] -= 1
-            r[k] -= 1
+            key[i] -= base
+            key[j] -= base
+            key[k] -= base
             total -= 3
             live = rest
-            if not r[i]:
+            if key[i] < base:
                 live &= ~vmask[i]
-            if not r[j]:
+            if key[j] < base:
                 live &= ~vmask[j]
-            if not r[k]:
+            if key[k] < base:
                 live &= ~vmask[k]
             stack.append((pos, rest, True, v))
-            top = max(r)
-            ok = 3 * top <= total
+            top = max(key)
+            ok = 3 * (top // base) <= total
             if ok and live != rest:
-                for rv, mv in zip(r, vmask):
-                    if rv and rv > (live & mv).bit_count():
+                for kv, mv in zip(key, vmask):
+                    if kv >= base and kv // base > (live & mv).bit_count():
                         ok = False
                         break
-            v = r.index(top)
+            v = key.index(top)
             continue
         # the node failed: resume at the deepest include not yet excluded
         if dive is not None:
@@ -243,17 +257,17 @@ def _search(
         else:
             return "NO", None, nodes
         i, j, k = candidates[pos]
-        r[i] += 1
-        r[j] += 1
-        r[k] += 1
+        key[i] += base
+        key[j] += base
+        key[k] += base
         total += 3
         live = rest
         stack.append((pos, rest, False, v))
         # an exclude child: only (d) at the branched triple can have changed
         ok = (
-            r[i] <= (live & vmask[i]).bit_count()
-            and r[j] <= (live & vmask[j]).bit_count()
-            and r[k] <= (live & vmask[k]).bit_count()
+            key[i] // base <= (live & vmask[i]).bit_count()
+            and key[j] // base <= (live & vmask[j]).bit_count()
+            and key[k] // base <= (live & vmask[k]).bit_count()
         )
 
 

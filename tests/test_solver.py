@@ -583,12 +583,72 @@ class TestEngineGolden:
         assert verify_certificate(out.certificate, d)
 
 
+@st.composite
+def _planted_search_cases(draw):
+    """(n, candidates, target): a lexicographic sublist of the triples on
+    [n], 4 <= n <= 8, and the degree vector of a random subset of it,
+    sometimes with one unit moved between two vertices, so that residual
+    ties between vertices of different targets are common."""
+    n = draw(st.integers(4, 8))
+    triples = enumerate_triples(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    candidates = [x for x, k in zip(triples, keep) if k]
+    pick = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    target = list(degree_sum(Hypergraph(n, [x for x, k in zip(candidates, pick) if k])))
+    moves = [(u, v) for u in range(n) for v in range(n) if u != v and target[u]]
+    if moves and draw(st.booleans()):
+        u, v = draw(st.sampled_from(moves))
+        target[u] -= 1
+        target[v] += 1
+    return n, candidates, tuple(target)
+
+
 class TestLargestResidualBranching:
+    @staticmethod
+    def _replay_includes(target, includes):
+        """Walk the includes from r = t; each must hold the rule's vertex."""
+        r = list(target)
+        for triple in includes:
+            v = max(range(len(r)), key=lambda u: (r[u], -target[u], -u))
+            assert v in triple, (r, triple)
+            for u in triple:
+                r[u] -= 1
+
+    @given(_planted_search_cases())
+    @settings(max_examples=300)
+    # after (2, 3, 4) and (0, 2, 3), r = (0, 1, 1, 2, 2): vertex 4 (t = 3), not 3
+    @example((5, enumerate_triples(5), (1, 1, 3, 4, 3)))
+    def test_includes_go_through_the_largest_residual_then_smallest_target(self, case):
+        # the first dive, and the include path of a YES, replayed on the
+        # residuals: every include holds the vertex of largest r, then
+        # smallest t, then lowest index (excludes leave r as it was)
+        n, candidates, target = case
+        candidates = solver._includable(candidates, target)
+        _, order = _ordered_candidates(candidates, target)
+        ordered = [candidates[p] for p in order]
+        dive = []
+        answer, edges, _ = _search(n, ordered, target, 10**5, dive)
+        self._replay_includes(target, [ordered[p] for p in dive])
+        if answer == "YES":
+            self._replay_includes(target, edges)
+
+    @pytest.mark.parametrize("seed, planted", [(43, True), (143, False)])
+    def test_reduced_yes_within_2000_nodes(self, seed, planted):
+        # gen_partition(12, 20, seed) reduced to degseq: with ties of
+        # largest residual broken by lowest index these needed 2,297 and
+        # 3,352 nodes, UNKNOWN at 2000; the smallest target first decides
+        # them in 754 and 109
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=seed, planted=planted)).degseq.d
+        out = decide_degseq(d, budget=2000)
+        assert out.answer == "YES"
+        assert out.stats.nodes <= 2000
+        assert verify_certificate(out.certificate, d)
+
     def test_planted_n10_decided_within_2000_nodes(self):
         # the 50 planted instances of scripts/bench_engine.py --sizes 10
         # --per-size 50 at seed 0: branching in one static order left 4 of
-        # them UNKNOWN even at 2M nodes; through the largest residual the
-        # worst needs 1201
+        # them UNKNOWN even at 2M nodes; through the largest residual,
+        # smallest target on ties, the worst needs 307
         meta = SplitMix64(10)
         for i in range(50):
             inst, _ = gen_planted_degseq(10, meta.below(comb(10, 3) + 1), seed=i)
@@ -696,7 +756,7 @@ class TestPolytopeLayer:
         inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
-        assert (out.answer, out.stats.nodes) == ("NO", 547)
+        assert (out.answer, out.stats.nodes) == ("NO", 552)
         assert not bruteforce_partition(inst)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
