@@ -14,9 +14,10 @@ smallest t_v is the vertex with the fewest edges placed on the current
 path (t_v - r_v): the least served of the neediest, whose remaining demand
 is the largest share of its target. The search stays exact under any
 choice of a vertex of positive residual, since its lowest live candidate
-is either included or excluded, so the rule moves node counts, never an
-answer; a target whose entries are all equal branches by lowest index,
-as the plain largest-residual rule does. The search takes that vertex's
+is either included or excluded, so the rule moves node counts (and with
+them which searches outlast a budget), never a YES or a NO; a target
+whose entries are all equal branches by lowest index, as the plain
+largest-residual rule does. The search takes that vertex's
 candidates in a static demand order: highest total demand d_i + d_j + d_k
 first, lexicographic on ties (one stable sort on the demand, over
 candidates that arrive in lexicographic order). Serving the neediest
