@@ -28,6 +28,7 @@ from .core import (
     Int64OverflowError,
     SearchStats,
     _own_certificate,
+    check_int,
     verify_certificate,
 )
 from .reduction import (
@@ -100,6 +101,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     inst = _load(args.input, parse_instance)
     if args.k is not None and (not isinstance(inst, DegSeqInstance) or inst.k != args.k):
         raise _CliError(f"--k {args.k} does not match the instance in {args.input}")
+    check_int(args.budget, "budget", nonnegative=True)
     if isinstance(inst, DegSeqInstance) and inst.k == 2:
         outcome = _decide_graph(inst.d)
     else:

@@ -1,18 +1,31 @@
 """Brute-force ground truth for the three problems and for k = 2.
 
 These oracles exist to catch bugs in the deciders, so they share no code
-with them beyond the instance types. The degree-vector oracles scan every
-edge subset in exists_subset_with_degrees, the one enumerator, for any
-arity; bruteforce_partition enumerates perfect triple partitions.
+with them beyond the instance types. The degree-vector oracles meet in the
+middle over degree_vectors, the one pure-Python enumerator, for any arity;
+bruteforce_partition enumerates perfect triple partitions.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, sub
 from typing import Sequence
 
 from .core import DegreeSequence, InstanceTooLargeError
 from .reduction import ThreePartitionInstance, ZeroWeightInstance
+
+
+def degree_vectors(n: int, edges: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The degree vectors on [n] of all subsets of edges, for any arity.
+
+    Built by doubling: each edge adds its indicator to every vector so far.
+    """
+    vectors = {(0,) * n}
+    for edge in edges:
+        step = [int(v in edge) for v in range(n)]
+        vectors |= {tuple(map(add, x, step)) for x in vectors}
+    return vectors
 
 
 def exists_subset_with_degrees(
@@ -20,31 +33,14 @@ def exists_subset_with_degrees(
 ) -> bool:
     """Exhaustively test all 2^len(candidates) subsets for degree vector target.
 
-    Any arity: edge e sets bit e in the mask of each of its vertices, so
-    subset code s has degree popcount(s & mask_v) at v. Vectorized in chunks;
-    exact, no pruning beyond the fact that no degree can exceed the edge count.
+    Meet in the middle (Horowitz and Sahni, 1974): YES exactly when target - x
+    is a degree vector of the first half of candidates for some degree vector
+    x of the second half. No pruning.
     """
-    import numpy as np  # only here, so bruteforce_partition and the CLI skip it
-
-    m = len(candidates)
-    tgt = [int(x) for x in target]
-    if any(x < 0 or x > m for x in tgt):
-        return False
-    masks = [0] * n
-    for e, edge in enumerate(candidates):
-        for v in edge:
-            masks[v] |= 1 << e
-    chunk = 1 << 16
-    for lo in range(0, 1 << m, chunk):
-        codes = np.arange(lo, min(lo + chunk, 1 << m), dtype=np.uint32)
-        ok = np.ones(codes.shape, dtype=bool)
-        for v in range(n):
-            ok &= np.bitwise_count(codes & np.uint32(masks[v])) == tgt[v]
-            if not ok.any():
-                break
-        if ok.any():
-            return True
-    return False
+    half = len(candidates) // 2
+    first = degree_vectors(n, candidates[:half])
+    second = degree_vectors(n, candidates[half:])
+    return any(tuple(map(sub, target, x)) in first for x in second)
 
 
 def bruteforce_degseq(d: DegreeSequence) -> bool:

@@ -169,6 +169,13 @@ class TestDecide:
         assert doc["answer"] == "YES"
         assert doc["certificate"]["certificate"] == "graph"
 
+    def test_k2_budget_zero_yes(self, capsys):
+        # k = 2 runs no search, so no budget can cut it short
+        code, doc = out_json(
+            capsys, "decide", "--input", str(GOLDENS / "graph_k2.json"), "--budget", "0"
+        )
+        assert (code, doc["answer"]) == (0, "YES")
+
     @pytest.mark.parametrize(
         "d, code, stdout",
         [
@@ -238,11 +245,13 @@ class TestDecide:
             '{"problem":"degseq","k":3,"d":[2,2,2]}',
             '{"problem":"three_partition","a":[1,1,1,1],"b":3}',
             '{"problem":"degseq","k":3,"d":[1,1,1]}',
+            '{"problem":"degseq","k":2,"d":[3,3,2,2,2]}',
         ],
-        ids=["prefilter-no", "partition-n-not-divisible-by-3", "search"],
+        ids=["prefilter-no", "partition-n-not-divisible-by-3", "search", "k2"],
     )
     def test_negative_budget_exit_2(self, capsys, tmp_path, doc):
-        # the budget is checked before any answer, not only when a search runs
+        # the budget is checked before any answer, not only when a search
+        # runs, and on k = 2 as on k = 3
         inst = tmp_path / "inst.json"
         inst.write_text(doc)
         code, out, err = run(capsys, "decide", "--input", str(inst), "--budget", "-5")
@@ -647,10 +656,10 @@ class TestPipeline:
 
 
 # Modules whose loading a CLI process must not pay for unless its command
-# runs them: dataclasses and traceback cost start-up, numpy serves only the
-# degree-vector oracles, the polytope layer loads only when a search outlasts
-# its allowance, and solver, graph and oracle belong to the commands that
-# run them.
+# runs them: dataclasses and traceback cost start-up, numpy would cost
+# start-up and peak RSS and no module needs it, the polytope layer loads
+# only when a search outlasts its allowance, and solver, graph and oracle
+# belong to the commands that run them.
 _WATCHED = (
     "dataclasses", "traceback", "numpy", "hyperdeg.polytope",
     "hyperdeg.solver", "hyperdeg.graph", "hyperdeg.oracle",
@@ -678,12 +687,11 @@ _PROBE = (
         (("verify", "--instance", "{zero}", "--certificate", "certificate_p6.json"), ()),
         (("decide", "--input", "degseq_yes.json"), ("hyperdeg.solver",)),
         (("decide", "--k", "2", "--input", "graph_k2.json"), ("hyperdeg.graph",)),
-        # bruteforce_partition runs in perfbench set-ups, where numpy would
-        # add to peak RSS, so only the degree-vector oracles load it
+        # every oracle is pure Python
         (("oracle", "--input", "three_partition_6.json"), ("hyperdeg.oracle",)),
-        (("oracle", "--input", "{zero}"), ("hyperdeg.oracle", "numpy")),
-        (("oracle", "--input", "degseq_yes.json"), ("hyperdeg.oracle", "numpy")),
-        (("oracle", "--input", "graph_k2.json"), ("hyperdeg.oracle", "numpy")),
+        (("oracle", "--input", "{zero}"), ("hyperdeg.oracle",)),
+        (("oracle", "--input", "degseq_yes.json"), ("hyperdeg.oracle",)),
+        (("oracle", "--input", "graph_k2.json"), ("hyperdeg.oracle",)),
     ],
     ids=[
         "import", "gen", "reduce", "verify", "verify-partition", "verify-zero",

@@ -35,6 +35,7 @@ from hyperdeg import (
     verify_zero_certificate,
 )
 from hyperdeg import polytope, solver
+from hyperdeg.oracle import degree_vectors, exists_subset_with_degrees
 from hyperdeg.solver import _ordered_candidates, _search
 
 
@@ -336,7 +337,42 @@ class TestBudgetCheck:
             decide(inst, budget=budget)
 
 
+@st.composite
+def _subset_targets(draw):
+    """(n, candidates, target): at most 12 distinct edges of arity 2 or 3 on
+    [n], n <= 6, and the degrees of a drawn subset of them, kept as they
+    are, perturbed by 1 at one vertex, or with one entry 10**12."""
+    arity = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(arity, 6))
+    edges = list(itertools.combinations(range(n), arity))
+    candidates = draw(st.lists(st.sampled_from(edges), unique=True, max_size=12))
+    target = [0] * n
+    for edge in candidates:
+        if draw(st.booleans()):
+            for v in edge:
+                target[v] += 1
+    kind = draw(st.sampled_from(("planted", "perturbed", "huge")))
+    v = draw(st.integers(0, n - 1))
+    if kind == "perturbed":
+        target[v] += draw(st.sampled_from((-1, 1)))
+    elif kind == "huge":
+        target[v] = 10**12
+    return n, candidates, tuple(target)
+
+
 class TestBruteforceOracles:
+    @given(_subset_targets())
+    @example((3, [], (0, 0, 0)))
+    @example((3, [], (0, 1, 0)))
+    @settings(max_examples=150)
+    def test_subset_search_matches_plain_enumeration(self, case):
+        n, candidates, target = case
+        plain = any(
+            tuple(sum(b for b, e in zip(bits, candidates) if v in e) for v in range(n)) == target
+            for bits in product((0, 1), repeat=len(candidates))
+        )
+        assert exists_subset_with_degrees(n, candidates, target) == plain
+
     def test_degseq_examples(self):
         assert bruteforce_degseq(DegreeSequence((1, 1, 1)))
         assert not bruteforce_degseq(DegreeSequence((2, 2, 2)))
@@ -478,7 +514,7 @@ class TestRootBound:
                     out = decide_degseq(DegreeSequence(vals))
                     if not any(fired):
                         continue
-                    assert _key(vals) not in realizable, vals
+                    assert tuple(vals) not in realizable, vals
                     assert (out.answer, out.stats.nodes) == ("NO", 1), vals
                     assert verify_separator(out.separator, vals, triples), vals
                     answered += 1
@@ -658,27 +694,8 @@ class TestLargestResidualBranching:
 
 
 def _realizable_degrees(n):
-    """Every degree vector of a 3-hypergraph on [n], n <= 6.
-
-    The bitmask enumeration of bruteforce_degseq, run once over all
-    2^C(n,3) triple subsets instead of once per target.
-    """
-    import numpy as np
-
-    triples = list(itertools.combinations(range(n), 3))
-    codes = np.arange(1 << len(triples), dtype=np.uint32)
-    key = np.zeros(codes.shape, dtype=np.int64)
-    for v in range(n):
-        mask = sum(1 << e for e, t in enumerate(triples) if v in t)
-        key = key * 16 + np.bitwise_count(codes & np.uint32(mask))
-    return set(np.unique(key).tolist())
-
-
-def _key(values):
-    key = 0
-    for x in values:
-        key = key * 16 + x
-    return key
+    """Every degree vector of a 3-hypergraph on [n], n <= 6."""
+    return degree_vectors(n, list(itertools.combinations(range(n), 3)))
 
 
 class TestPolytopeLayer:
@@ -808,7 +825,7 @@ class TestPolytopeLayer:
                 for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
                     fired.clear()
                     out = decide_degseq(DegreeSequence(vals))
-                    realized = _key(vals) in realizable
+                    realized = tuple(vals) in realizable
                     assert out.answer == ("YES" if realized else "NO"), vals
                     if out.separator is not None:
                         assert verify_separator(out.separator, vals, triples), vals
