@@ -514,7 +514,7 @@ class TestRootBound:
                     out = decide_degseq(DegreeSequence(vals))
                     if not any(fired):
                         continue
-                    assert tuple(vals) not in realizable, vals
+                    assert vals not in realizable, vals
                     assert (out.answer, out.stats.nodes) == ("NO", 1), vals
                     assert verify_separator(out.separator, vals, triples), vals
                     answered += 1
@@ -825,7 +825,7 @@ class TestPolytopeLayer:
                 for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
                     fired.clear()
                     out = decide_degseq(DegreeSequence(vals))
-                    realized = tuple(vals) in realizable
+                    realized = vals in realizable
                     assert out.answer == ("YES" if realized else "NO"), vals
                     if out.separator is not None:
                         assert verify_separator(out.separator, vals, triples), vals
