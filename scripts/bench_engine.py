@@ -27,6 +27,10 @@ def main() -> None:
     args = parser.parse_args()
     if args.per_size < 1:
         parser.error("--per-size must be at least 1")
+    if min(args.sizes) < 0:
+        parser.error("--sizes must be at least 0")
+    if args.budget < 0:
+        parser.error("--budget must be at least 0")
 
     print(f"{'n':>3} {'instances':>9} {'med nodes':>10} {'p90 nodes':>10} "
           f"{'max nodes':>10} {'total s':>8} {'unknown':>7}")

@@ -152,7 +152,7 @@ def zero_cases():
         rng = SplitMix64(20_000 + seed)
         n = 4 + rng.below(6)
         w = tuple(rng.below(7) - 3 for _ in range(n))
-        zero_edges = sign_partition(WeightVector(w)).s_zero.edges
+        zero_edges = sign_partition(WeightVector(w)).s_zero
         picked = tuple(e for e in zero_edges if rng.below(2))
         c = list(degree_sum(Hypergraph(n, picked)).values)
         # a unit moved between equal weights keeps the promise w.c = 0

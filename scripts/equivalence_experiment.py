@@ -42,10 +42,14 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=10**8)
     args = parser.parse_args()
 
+    if args.count < 1:
+        parser.error("--count must be at least 1")
     if args.n % 3 or not 3 <= args.n <= 12:
         parser.error("--n must be a multiple of 3 from 3 to 12 (oracle guard)")
     if not 0 <= args.planted_fraction <= 1:
         parser.error("--planted-fraction must be from 0 to 1")
+    if args.budget < 0:
+        parser.error("--budget must be at least 0")
 
     planted_cutoff = int(args.count * args.planted_fraction)
     tally: Counter[str] = Counter()

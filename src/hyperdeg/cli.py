@@ -137,9 +137,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "w": list(zero.w.values),
         "c": list(zero.c.values),
         "sign_sizes": {
-            "minus": len(sp.s_minus.edges),
-            "zero": len(sp.s_zero.edges),
-            "plus": len(sp.s_plus.edges),
+            "minus": len(sp.s_minus),
+            "zero": len(sp.s_zero),
+            "plus": len(sp.s_plus),
         },
     }
     _emit(doc)

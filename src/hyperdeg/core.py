@@ -298,23 +298,23 @@ class WeightVector(_IntVector):
 
 
 class SignPartition(_Record):
-    """All triples of [n] split by the sign of their weight sum."""
+    """All triples of [n] split by the sign of their weight sum.
 
-    s_minus: Hypergraph
-    s_zero: Hypergraph
-    s_plus: Hypergraph
-    _fields = ("s_minus", "s_zero", "s_plus")
+    Each part is a tuple of triples in lexicographic order; sign_partition
+    builds them from enumerate_triples, so nothing re-checks them.
+    """
 
-    def __init__(self, s_minus: Hypergraph, s_zero: Hypergraph, s_plus: Hypergraph) -> None:
-        if not (s_minus.n == s_zero.n == s_plus.n):
-            raise GroundSetMismatchError("sign partition parts disagree on n")
+    n: int
+    s_minus: tuple[Triple, ...]
+    s_zero: tuple[Triple, ...]
+    s_plus: tuple[Triple, ...]
+    _fields = ("n", "s_minus", "s_zero", "s_plus")
+
+    def __init__(self, n: int, s_minus: tuple, s_zero: tuple, s_plus: tuple) -> None:
+        _set_field(self, "n", n)
         _set_field(self, "s_minus", s_minus)
         _set_field(self, "s_zero", s_zero)
         _set_field(self, "s_plus", s_plus)
-
-    @property
-    def n(self) -> int:
-        return self.s_zero.n
 
 
 class CertificateCheck(_Record):
@@ -402,6 +402,16 @@ def enumerate_triples(n: int) -> list[Triple]:
     return list(itertools.combinations(range(n), 3))
 
 
+def _degrees(n: int, triples: Iterable[Triple]) -> list[int]:
+    """How many of the triples pass through each of the n vertices."""
+    deg = [0] * n
+    for i, j, k in triples:
+        deg[i] += 1
+        deg[j] += 1
+        deg[k] += 1
+    return deg
+
+
 def degree_sum(h: Hypergraph) -> DegreeSequence:
     """Per-vertex incidence counts of h; the entries total 3 * |edges|."""
     i64(3 * len(h.edges), "degree total")
@@ -416,8 +426,8 @@ def weighted_value(w: WeightVector, x: Sequence[int]) -> int:
 def sign_partition(w: WeightVector) -> SignPartition:
     """Split all triples of [n] by the sign of their w-value.
 
-    Each part keeps the lexicographic enumeration order, so the three
-    hypergraphs are canonical. Exact integer signs; no epsilon.
+    Each part is a tuple of triples in the lexicographic enumeration
+    order, so the parts are canonical. Exact integer signs; no epsilon.
     """
     triples = enumerate_triples(w.n)
     neg: list[Triple] = []
@@ -430,11 +440,7 @@ def sign_partition(w: WeightVector) -> SignPartition:
             pos.append(x)
         else:
             zero.append(x)
-    return SignPartition(
-        s_minus=Hypergraph(w.n, tuple(neg)),
-        s_zero=Hypergraph(w.n, tuple(zero)),
-        s_plus=Hypergraph(w.n, tuple(pos)),
-    )
+    return SignPartition(w.n, tuple(neg), tuple(zero), tuple(pos))
 
 
 def verify_certificate(

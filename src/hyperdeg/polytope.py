@@ -24,7 +24,7 @@ pass, which runs only when the pool holds none). Every column has three
 ones, so a reduced cost is three additions. It starts from the engine's
 own first dive: those candidates start at their upper bound, and one
 artificial per vertex, basic, carries the residual degree: target less
-the dive's degrees, counted by solver._degrees. Phase 1 minimizes a
+the dive's degrees, counted by core._degrees. Phase 1 minimizes a
 weighted sum of the artificials: weight 1 where the dive left demand,
 1/2 where it saturated the vertex, so that pricing first tries the
 triples that can move rather than the degenerate ones. Any positive
@@ -42,8 +42,7 @@ from __future__ import annotations
 from math import isfinite, lcm
 from typing import NamedTuple, Sequence, Union
 
-from .core import Triple
-from .solver import _degrees
+from .core import Triple, _degrees
 
 # reduced costs and ratio-test pivots below this are treated as zero
 _EPS = 1e-9

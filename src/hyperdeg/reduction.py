@@ -12,7 +12,7 @@ realizability:
 
 Step (1) -> (2) sets w := 3a - b*1 and c := 1, which makes w.x = 3(a.x - b)
 for every triple x, so the feasible triple sets coincide and certificates
-transfer unchanged. Step (2) -> (3) sets d := c + degree_sum(S+), where
+transfer unchanged. Step (2) -> (3) sets d := c + deg(S+), where
 S-/S0/S+ is the sign partition of w. Certificates lift by H := G | S+ and
 project by G := H & S0; any H realizing the reduced d is forced to contain
 all of S+ and avoid all of S-, which project_certificate checks loudly.
@@ -37,12 +37,12 @@ from .core import (
     SignPartition,
     WeightVector,
     _Record,
+    _degrees,
     _set_field,
     check_int,
     check_ints,
     checked_dot,
     checked_sum,
-    degree_sum,
     i64,
     sign_partition,
     triple_sums,
@@ -191,18 +191,17 @@ def map_partition_certificate(
 
 
 def reduce_zero_to_degseq(inst: ZeroWeightInstance) -> Reduction:
-    """Map (w, c) to the realizability target d = c + degree_sum(S+).
+    """Map (w, c) to the realizability target d = c + core._degrees(S+).
 
     Returns the sign partition of w and inst itself alongside the reduced
     instance; the certificate maps need exactly this partition and it costs
     O(n^3) to recompute.
     """
     sp = sign_partition(inst.w)
-    plus_degrees = degree_sum(sp.s_plus)
     d = DegreeSequence(
         tuple(
             i64(ci + pi, "reduced degree")
-            for ci, pi in zip(inst.c.values, plus_degrees.values)
+            for ci, pi in zip(inst.c.values, _degrees(inst.n, sp.s_plus))
         )
     )
     return Reduction(degseq=DegSeqInstance(d=d, k=3), sign_partition=sp, zero_weight=inst)
@@ -218,11 +217,11 @@ def lift_certificate(g: Hypergraph, sp: SignPartition) -> Hypergraph:
         raise GroundSetMismatchError(
             f"certificate is on [{g.n}] but partition is on [{sp.n}]"
         )
-    zero = set(sp.s_zero.edges)
+    zero = set(sp.s_zero)
     for edge in g.edges:
         if edge not in zero:
             raise CertificateError(f"edge {edge} lies outside the zero-weight triples")
-    return Hypergraph(g.n, tuple(sorted(g.edges + sp.s_plus.edges)))
+    return Hypergraph(g.n, tuple(sorted(g.edges + sp.s_plus)))
 
 
 def project_certificate(h: Hypergraph, sp: SignPartition) -> Hypergraph:
@@ -237,17 +236,17 @@ def project_certificate(h: Hypergraph, sp: SignPartition) -> Hypergraph:
             f"certificate is on [{h.n}] but partition is on [{sp.n}]"
         )
     edges = set(h.edges)
-    stray = edges & set(sp.s_minus.edges)
+    stray = edges & set(sp.s_minus)
     if stray:
         raise CertificateError(
             f"forcing violated: certificate meets S- at {sorted(stray)[:3]}"
         )
-    missing = set(sp.s_plus.edges) - edges
+    missing = set(sp.s_plus) - edges
     if missing:
         raise CertificateError(
             f"forcing violated: certificate misses S+ edges {sorted(missing)[:3]}"
         )
-    zero = set(sp.s_zero.edges)
+    zero = set(sp.s_zero)
     return Hypergraph(h.n, tuple(e for e in h.edges if e in zero))
 
 

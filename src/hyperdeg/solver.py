@@ -107,7 +107,7 @@ from __future__ import annotations
 from math import comb
 from operator import mul, sub
 from time import perf_counter
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import (
     DEFAULT_BUDGET,
@@ -118,6 +118,7 @@ from .core import (
     Hypergraph,
     SearchStats,
     Triple,
+    _degrees,
     _own_certificate,
     check_int,
     checked_sum,
@@ -277,16 +278,6 @@ def _includable(candidates: Sequence[Triple], target: Sequence[int]) -> Sequence
     if 0 not in target:
         return candidates
     return [x for x in candidates if target[x[0]] and target[x[1]] and target[x[2]]]
-
-
-def _degrees(n: int, triples: Iterable[Triple]) -> list[int]:
-    """How many of the triples pass through each of the n vertices."""
-    deg = [0] * n
-    for i, j, k in triples:
-        deg[i] += 1
-        deg[j] += 1
-        deg[k] += 1
-    return deg
 
 
 def _ordered_candidates(

@@ -89,9 +89,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound); bound must be positive."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound); bound must be an int from 1 to 2^64."""
+        if type(bound) is not int or not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be an integer from 1 to 2^64, got {bound!r}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

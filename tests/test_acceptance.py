@@ -159,8 +159,8 @@ def test_criterion_6_certificate_transport():
             found = decide_degseq(reduced.degseq.d)
             assert found.answer == "YES", inst
             h_edges = set(found.certificate.edges)
-            assert set(sp.s_plus.edges) <= h_edges, inst
-            assert not (h_edges & set(sp.s_minus.edges)), inst
+            assert set(sp.s_plus) <= h_edges, inst
+            assert not (h_edges & set(sp.s_minus)), inst
             g = project_certificate(found.certificate, sp)
             assert degree_sum(g).values == reduced.zero_weight.c.values, inst
 

@@ -718,3 +718,22 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loads):
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert {"hyperdeg.core", "hyperdeg.reduction", "hyperdeg.workbench"} <= loaded
     assert sorted(loaded.intersection(_WATCHED)) == sorted(loads)
+
+
+def test_polytope_imports_core_not_solver():
+    # solver loads polytope for a long search, so polytope must not load
+    # solver back: the degree count both use lives in core
+    src = Path(hyperdeg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys\n"
+        "import hyperdeg.polytope\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "hyperdeg.core" in loaded
+    assert "hyperdeg.solver" not in loaded

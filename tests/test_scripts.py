@@ -36,6 +36,12 @@ def test_script_runs(script, args, expect):
     "script, args, expect",
     [
         ("bench_engine.py", ["--per-size", "0"], "--per-size must be at least 1"),
+        ("bench_engine.py", ["--sizes", "-1"], "--sizes must be at least 0"),
+        ("bench_engine.py", ["--sizes", "6", "-1"], "--sizes must be at least 0"),
+        ("bench_engine.py", ["--budget", "-1"], "--budget must be at least 0"),
+        ("equivalence_experiment.py", ["--count", "-3"], "--count must be at least 1"),
+        ("equivalence_experiment.py", ["--count", "0"], "--count must be at least 1"),
+        ("equivalence_experiment.py", ["--budget", "-1"], "--budget must be at least 0"),
         ("equivalence_experiment.py", ["--n", "0"], "--n must be a multiple of 3 from 3 to 12"),
         ("equivalence_experiment.py", ["--planted-fraction", "2"],
          "--planted-fraction must be from 0 to 1"),
@@ -44,6 +50,12 @@ def test_script_runs(script, args, expect):
     ],
     ids=[
         "bench_engine-per-size-0",
+        "bench_engine-sizes-negative",
+        "bench_engine-sizes-one-negative",
+        "bench_engine-budget-negative",
+        "equivalence_experiment-count-negative",
+        "equivalence_experiment-count-0",
+        "equivalence_experiment-budget-negative",
         "equivalence_experiment-n-0",
         "equivalence_experiment-planted-fraction-2",
         "equivalence_experiment-planted-fraction-negative",

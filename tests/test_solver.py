@@ -99,7 +99,7 @@ def _decider_cases(draw):
     w = (0,) * n
     if kind == "zero":
         w = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
-    triples = sign_partition(WeightVector(w)).s_zero.edges
+    triples = sign_partition(WeightVector(w)).s_zero
     dead = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
     picked = [x for x, k in zip(triples, keep) if k and not any(dead[v] for v in x)]
@@ -210,7 +210,7 @@ class TestDecideZero:
     def test_planted_zero_instances(self, seed, n):
         rng = SplitMix64(seed)
         w = WeightVector(tuple(rng.below(7) - 3 for _ in range(n)))
-        zero_edges = sign_partition(w).s_zero.edges
+        zero_edges = sign_partition(w).s_zero
         picked = tuple(e for e in zero_edges if rng.below(2))
         c = degree_sum(Hypergraph(n, picked))
         inst = ZeroWeightInstance(w, c)
@@ -392,7 +392,7 @@ class TestBruteforceOracles:
 
     def test_zero_planted(self):
         w = WeightVector((1, -1, 0, 0, 0))
-        zero_edges = sign_partition(w).s_zero.edges
+        zero_edges = sign_partition(w).s_zero
         g = Hypergraph(5, (zero_edges[0], zero_edges[2]))
         inst = ZeroWeightInstance(w, degree_sum(g))
         assert bruteforce_zero(inst)
@@ -535,7 +535,7 @@ class TestRootBound:
     def test_never_fires_on_planted_zero(self, seed, n):
         rng = SplitMix64(seed)
         w = WeightVector(tuple(rng.below(7) - 3 for _ in range(n)))
-        picked = tuple(e for e in sign_partition(w).s_zero.edges if rng.below(2))
+        picked = tuple(e for e in sign_partition(w).s_zero if rng.below(2))
         inst = ZeroWeightInstance(w, degree_sum(Hypergraph(n, picked)))
         with _root_firings() as fired:
             assert decide_zero(inst, budget=2000).answer != "NO"
@@ -794,7 +794,7 @@ class TestPolytopeLayer:
         out = decide_zero(inst, budget=2000)
         assert out.answer == "NO"
         assert out.stats.nodes == decide_degseq(d, budget=2000).stats.nodes
-        assert verify_separator(out.separator, d.values, sign_partition(inst.w).s_zero.edges)
+        assert verify_separator(out.separator, d.values, sign_partition(inst.w).s_zero)
         assert statuses == ["infeasible"] * 2
 
     @classmethod
@@ -853,7 +853,7 @@ class TestPolytopeLayer:
             rng = SplitMix64(30_000 + seed)
             n = 4 + rng.below(5)
             w = WeightVector(tuple(rng.below(5) - 2 for _ in range(n)))
-            zero_edges = sign_partition(w).s_zero.edges
+            zero_edges = sign_partition(w).s_zero
             if len(zero_edges) > 16:
                 continue
             c = list(degree_sum(Hypergraph(n, tuple(e for e in zero_edges if rng.below(2)))))

@@ -47,8 +47,14 @@ class TestSplitMix64:
         assert set(draws) == {0, 1, 2, 3, 4, 5}
 
     def test_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).below(0)
+        # a bound above 2^64 would leave no accepted draw, so below would never
+        # return; a float or a bool is no bound either
+        for bound in (0, -1, 2**64 + 1, 2**65, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                SplitMix64(0).below(bound)
+
+    def test_below_full_range_is_the_raw_draw(self):
+        assert SplitMix64(7).below(2**64) == SplitMix64(7).next_u64()
 
     def test_shuffle_is_permutation(self):
         rng = SplitMix64(5)
