@@ -16,6 +16,7 @@ from statistics import median, quantiles
 from time import perf_counter
 
 from hyperdeg import SplitMix64, decide_degseq, gen_planted_degseq
+from hyperdeg.core import I64_MAX
 
 
 def main() -> None:
@@ -29,8 +30,8 @@ def main() -> None:
         parser.error("--per-size must be at least 1")
     if min(args.sizes) < 0:
         parser.error("--sizes must be at least 0")
-    if args.budget < 0:
-        parser.error("--budget must be at least 0")
+    if not 0 <= args.budget <= I64_MAX:
+        parser.error("--budget must be at least 0 and at most 2^63 - 1")
 
     print(f"{'n':>3} {'instances':>9} {'med nodes':>10} {'p90 nodes':>10} "
           f"{'max nodes':>10} {'total s':>8} {'unknown':>7}")

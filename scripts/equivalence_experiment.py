@@ -30,6 +30,7 @@ from hyperdeg import (
     reduce_partition_to_degseq,
     verify_certificate,
 )
+from hyperdeg.core import I64_MAX
 
 
 def main() -> int:
@@ -46,10 +47,15 @@ def main() -> int:
         parser.error("--count must be at least 1")
     if args.n % 3 or not 3 <= args.n <= 12:
         parser.error("--n must be a multiple of 3 from 3 to 12 (oracle guard)")
+    # a value may exceed max_value by less than n (gen_partition's unplanted
+    # adjustment), and 3 * sum(a) must fit in i64 (ThreePartitionInstance)
+    top = I64_MAX // (3 * args.n) - 1
+    if not 0 <= args.max_value <= top:
+        parser.error(f"--max-value must be from 0 to {top} at --n {args.n}")
     if not 0 <= args.planted_fraction <= 1:
         parser.error("--planted-fraction must be from 0 to 1")
-    if args.budget < 0:
-        parser.error("--budget must be at least 0")
+    if not 0 <= args.budget <= I64_MAX:
+        parser.error("--budget must be at least 0 and at most 2^63 - 1")
 
     planted_cutoff = int(args.count * args.planted_fraction)
     tally: Counter[str] = Counter()

@@ -79,15 +79,27 @@ only runs on a budget of at least 1. Every t_v and every |t_v - deg_v|
 is at most 3E, and E at most the candidate count, so every |s_v| stays
 below 3E * 2^(ROOT_STEPS + 1) and y far inside i64.
 
-The rules cannot see what the polytope {Mx = t, 0 <= x <= 1} forces (on
-reduced instances, S+ in and S- out of every realization), so a search
-that outlasts a fixed allowance (ALLOWANCE nodes plus the depth of a
-straight dive) hands over to polytope.solve once (see _run_search). Its
-infeasibility yields a separator y (its duals rationally reconstructed
-and scaled by the lcm of their denominators), a NO only once
-core.verify_separator has checked it exactly; its final point x*
-otherwise reorders the candidates for a restart on the remaining
-budget. Pivots count as nodes.
+The equality case forces. When s.t equals the top-E sum exactly (a
+tight s), the scores of any realization's E edges sum to that maximum,
+so it holds each candidate scoring above theta and none scoring below.
+When no s on the path fires, the first tight one puts the candidates
+above theta in the answer, leaves those below out, and the search runs
+on the theta-scoring candidates alone against the residual target (see
+_run_search). Forcing costs one node, so forced includes are never
+branched on; on a reduced 3-partition target it settles most of S+ and
+S- before the first branch. There is one forcing round, with no second
+root bound.
+
+The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
+forces (on reduced instances, S+ in and S- out of every realization,
+which the root bound catches only where its short ascent meets a tight
+s), so a search that outlasts a fixed allowance (ALLOWANCE nodes plus
+the depth of a straight dive) hands over to polytope.solve once (see
+_run_search). Its infeasibility yields a separator y (its duals
+rationally reconstructed and scaled by the lcm of their denominators), a
+NO only once core.verify_separator has checked it exactly; its final
+point x* otherwise reorders the candidates for a restart on the
+remaining budget. Pivots count as nodes.
 
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
@@ -136,7 +148,7 @@ from .reduction import (
 
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
-ALLOWANCE = 500
+ALLOWANCE = 300
 # supergradient steps the root bound may take from s = t before it gives up
 ROOT_STEPS = 3
 
@@ -309,6 +321,7 @@ def _root_separator(
     candidates: Sequence[Triple],
     ranked: tuple[list[int], list[int]],
     size: int,
+    tight: Union[list, None] = None,
 ) -> Union[tuple[int, ...], None]:
     """The root bound: y = 3s - theta*1 for the first s on its path that refutes t.
 
@@ -320,6 +333,12 @@ def _root_separator(
     most ROOT_STEPS times (see the module docstring). None when no s on
     the path fires, when a stop shows that s cannot, or when size exceeds
     the candidate count.
+
+    A list passed as tight receives (s, scores, theta) of the first s on
+    the path whose s.t equals the top-size sum, its scores one per
+    candidate: every realization scores exactly that sum, so it holds
+    each candidate scoring above theta and none below (_run_search's
+    forcing). The climb goes on past it, since a later s may still fire.
     """
     scores, order = ranked
     if not 0 < size <= len(order):
@@ -332,13 +351,17 @@ def _root_separator(
         # realizable targets are settled without the sum
         if value <= size * theta:
             return None
-        if value > sum(map(scores.__getitem__, order[:size])):
+        top = sum(map(scores.__getitem__, order[:size]))
+        if value > top:
             return tuple(3 * v - theta for v in s)
+        # past the E*theta test some score is above theta, so a tight s forces
+        if value == top and tight == []:
+            tight.extend((s, scores, theta))
         if step == ROOT_STEPS:
             break
         # t - deg(T), a supergradient of s.t - top-E sum
-        top = map(candidates.__getitem__, order[:size])
-        gap = list(map(sub, target, _degrees(len(target), top)))
+        chosen = map(candidates.__getitem__, order[:size])
+        gap = list(map(sub, target, _degrees(len(target), chosen)))
         s = [2 * v + g for v, g in zip(s, gap)]
         # T's s-sum is at most the top-E sum, so this s cannot fire
         if sum(map(mul, s, gap)) <= 0:
@@ -366,6 +389,17 @@ def _run_search(
     separator that the root bound's short ascent proposes (_root_separator,
     from s = t) and the check accepts answers NO at one node.
 
+    Otherwise, if the ascent met a tight s, the root forces: A, the
+    searched candidates scoring above theta, joins the answer; the rest,
+    those scoring exactly theta (still lexicographic), is what the steps
+    below search, against r = effective - deg(A), on budget - 1 nodes, the
+    one node being the forcing's. Some r_v < 0 is a NO at that node, since
+    every realization holds A; -e_v, lifted, is its separator once
+    checked. A YES of the rest gains A. A separator of the rest is lifted
+    by _lifted before the usual lowering and check, and one that fails the
+    check decides nothing; an exhausted rest is an exhausted search, a NO
+    without a separator.
+
     The plain search first gets ALLOWANCE nodes plus the depth of a straight
     dive. If that runs out with budget left, polytope.solve runs once on
     the searched side, warm-started from the search's first dive, its
@@ -386,52 +420,106 @@ def _run_search(
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))
     searched = _includable(candidates, effective)
     ranked = _ordered_candidates(searched, effective)
-    ordered = [searched[p] for p in ranked[1]]
     size = sum(effective) // 3  # the edge count of every realization
+    force = None  # (s, theta, searched, rest) once the root forces
 
     def certified(y: Union[tuple[int, ...], None]) -> Union[tuple[int, ...], None]:
         """A separator of the searched side as a checked one of target, or None.
 
-        y is proposed on the searched candidates. A vertex of zero demand
-        has none there, so its entry is lowered (y.effective stays the
-        same) until no candidate through it scores above 0.
+        y is proposed on the candidates the search ran on: after forcing,
+        those of the rest, so _lifted first makes it a separator of the
+        searched side. A vertex of zero demand has no candidate there, so
+        its entry is lowered (y.effective stays the same) until no
+        candidate through it scores above 0.
         """
         if y is None:
             return None
-        if 0 in effective:
-            low = -2 * max(0, *y)
-            y = tuple(v if t else min(v, low) for v, t in zip(y, effective))
+        if force is not None:
+            y = _lifted(y, *force)
+        y = _lowered(y, effective)
         if flipped:
             y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
         return y if verify_separator(y, target, candidates) else None
 
+    tight: list = []
     if budget:
-        y = certified(_root_separator(effective, searched, ranked, size))
+        y = certified(_root_separator(effective, searched, ranked, size, tight))
         if y is not None:
             return "NO", None, y, 1
+    goal, fixed, spent = effective, (), 0
+    if tight:
+        s, scores, theta = tight
+        fixed = tuple(e for e, x in zip(searched, scores) if x > theta)
+        goal = tuple(map(sub, effective, _degrees(n, fixed)))
+        force = (s, theta, searched, goal)
+        if min(goal) < 0:
+            # the forced triples alone overshoot t_v: -e_v separates the rest
+            v = goal.index(min(goal))
+            return "NO", None, certified(tuple(-(u == v) for u in range(n))), 1
+        searched = _includable([e for e, x in zip(searched, scores) if x == theta], goal)
+        ranked = _ordered_candidates(searched, goal)
+        size -= len(fixed)
+        spent = 1
+    ordered = [searched[p] for p in ranked[1]]
     dive: list[int] = []
     allowance = ALLOWANCE + size
-    answer, edges, nodes = _search(n, ordered, effective, min(budget, allowance), dive)
+    answer, edges, nodes = _search(n, ordered, goal, min(budget - spent, allowance), dive)
+    nodes += spent
     if answer == "UNKNOWN" and nodes < budget:
         from . import polytope  # only searches that outlast the allowance load it
 
-        lp = polytope.solve(n, ordered, effective, dive, budget - nodes)
+        lp = polytope.solve(n, ordered, goal, dive, budget - nodes)
         nodes += lp.pivots
         y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
         if y is not None:
             return "NO", None, y, nodes
         if nodes < budget:
             rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
-            answer, edges, more = _search(
-                n, [ordered[p] for p in rank], effective, budget - nodes
-            )
+            answer, edges, more = _search(n, [ordered[p] for p in rank], goal, budget - nodes)
             nodes += more
     if answer == "YES":
+        edges += fixed
         if flipped:
             complement = set(edges)
             edges = tuple(e for e in candidates if e not in complement)
         edges = tuple(sorted(edges))
     return answer, edges, None, nodes
+
+
+def _lifted(
+    y: tuple[int, ...],
+    s: Sequence[int],
+    theta: int,
+    scored: Sequence[Triple],
+    rest: Sequence[int],
+) -> tuple[int, ...]:
+    """A separator y' of the forced rest as one of the target it was forced from.
+
+    s is tight on scored with theta its size-th largest score, and rest is
+    that target less the degrees of the candidates scoring above theta. y'
+    is proposed on the theta-scoring candidates that _includable kept for
+    rest, so it is first lowered against rest (_lowered); then Y = lam *
+    (3s - theta*1) + y', lam = 1 + max |y'(e)| over scored. Every triple
+    above theta scores above 0 under Y and every one below it under 0, so
+    by tightness Y.t - sum max(0, Y(e)) = y'.rest - sum max(0, y'(e)) over
+    the theta-scoring ones: Y separates when y' does.
+    """
+    y = _lowered(y, rest)
+    lam = 1 + max(abs(y[i] + y[j] + y[k]) for i, j, k in scored)
+    return tuple(lam * (3 * v - theta) + u for v, u in zip(s, y))
+
+
+def _lowered(y: tuple[int, ...], target: Sequence[int]) -> tuple[int, ...]:
+    """y with each entry at a zero-demand vertex made at most -2 * max(0, y).
+
+    y.target stays the same, and no triple through such a vertex scores
+    above 0, so a separator of the includable candidates (_includable)
+    separates every candidate.
+    """
+    if 0 not in target:
+        return y
+    low = -2 * max(0, *y)
+    return tuple(v if t else min(v, low) for v, t in zip(y, target))
 
 
 def _decide(

@@ -47,6 +47,14 @@ def test_script_runs(script, args, expect):
          "--planted-fraction must be from 0 to 1"),
         ("equivalence_experiment.py", ["--planted-fraction", "-0.5"],
          "--planted-fraction must be from 0 to 1"),
+        ("equivalence_experiment.py", ["--max-value", "-1", "--count", "1"],
+         "--max-value must be from 0 to 512409557603043099 at --n 6"),
+        ("equivalence_experiment.py", ["--max-value", "1024819115206086200", "--n", "3"],
+         "--max-value must be from 0 to 1024819115206086199 at --n 3"),
+        ("equivalence_experiment.py", ["--budget", str(1 << 63), "--count", "1"],
+         "--budget must be at least 0 and at most 2^63 - 1"),
+        ("bench_engine.py", ["--sizes", "2", "--per-size", "1", "--budget", str(10**20)],
+         "--budget must be at least 0 and at most 2^63 - 1"),
     ],
     ids=[
         "bench_engine-per-size-0",
@@ -59,6 +67,10 @@ def test_script_runs(script, args, expect):
         "equivalence_experiment-n-0",
         "equivalence_experiment-planted-fraction-2",
         "equivalence_experiment-planted-fraction-negative",
+        "equivalence_experiment-max-value-negative",
+        "equivalence_experiment-max-value-past-i64",
+        "equivalence_experiment-budget-past-i64",
+        "bench_engine-budget-past-i64",
     ],
 )
 def test_script_rejects_empty_runs(script, args, expect):

@@ -2,6 +2,7 @@ import itertools
 from contextlib import contextmanager
 from itertools import product
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from hyperdeg import (
     gen_partition,
     gen_planted_degseq,
     prefilter_degseq,
+    project_certificate,
     reduce_partition_to_degseq,
     sign_partition,
     verify_certificate,
@@ -482,21 +484,31 @@ class TestDemandOrder:
 
 
 @contextmanager
-def _root_firings():
-    """Record, per call of the root bound, whether it proposed a separator."""
-    fired = []
+def _root_spy(record):
+    """Record, per call of the root bound, record(y, *args) once it returns y."""
+    seen = []
     real = solver._root_separator
 
     def spy(*args):
         y = real(*args)
-        fired.append(y is not None)
+        seen.append(record(y, *args))
         return y
 
     solver._root_separator = spy
     try:
-        yield fired
+        yield seen
     finally:
         solver._root_separator = real
+
+
+def _root_firings():
+    """Record, per call of the root bound, whether it proposed a separator."""
+    return _root_spy(lambda y, *args: y is not None)
+
+
+def _root_forcings():
+    """Record, per call of the root bound, whether it met a tight s and did not fire."""
+    return _root_spy(lambda y, *args: y is None and bool(args[4]))
 
 
 class TestRootBound:
@@ -598,6 +610,125 @@ class TestRootBound:
         assert verify_separator(out.separator, d.values, enumerate_triples(5))
 
 
+class TestRootForcing:
+    def test_forced_decides_agree_with_ground_truth(self):
+        # every target on n <= 6, and reduced gen_partition(9, 8, s): each
+        # decide whose root bound meets a tight s answers as the oracle
+        # does, with a certificate or a separator that checks on all triples
+        forced = {"exhaustive": 0, "reduced": 0}
+        with _root_forcings() as seen:
+            for n in range(7):
+                realizable = _realizable_degrees(n)
+                cap = comb(n - 1, 2) if n else 0
+                triples = enumerate_triples(n)
+                for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
+                    seen.clear()
+                    out = decide_degseq(DegreeSequence(vals))
+                    if any(seen):
+                        self._agrees(out, vals, vals in realizable, triples)
+                        forced["exhaustive"] += 1
+            triples = enumerate_triples(9)
+            for seed, planted in product(range(100), (True, False)):
+                inst = gen_partition(9, 8, seed=seed, planted=planted)
+                d = reduce_partition_to_degseq(inst).degseq.d
+                seen.clear()
+                out = decide_degseq(d, budget=2000)
+                if any(seen):
+                    self._agrees(out, d.values, bruteforce_partition(inst), triples)
+                    forced["reduced"] += 1
+        assert forced["exhaustive"] >= 100 and forced["reduced"] >= 30, forced
+
+    @staticmethod
+    def _agrees(out, vals, truth, triples):
+        assert out.answer == ("YES" if truth else "NO"), vals
+        if truth:
+            assert verify_certificate(out.certificate, DegreeSequence(vals)), vals
+        elif out.separator is not None:
+            assert verify_separator(out.separator, vals, triples), vals
+
+    def test_forced_includes_cost_no_node(self):
+        # gen_partition(9, 8, seed=1, planted=True) reduced: every realization
+        # has 39 edges, 36 of them S+, and s = t is tight, so the triples
+        # scoring above theta go in at once and the rest is a 3-edge search:
+        # 5 nodes where the plain search needed 40
+        inst = gen_partition(9, 8, seed=1, planted=True)
+        red = reduce_partition_to_degseq(inst)
+        d = red.degseq.d
+        assert sum(d.values) // 3 == 39 and len(red.sign_partition.s_plus) == 36
+        with _root_forcings() as seen:
+            out = decide_degseq(d, budget=2000)
+        assert seen == [True]
+        assert (out.answer, out.stats.nodes) == ("YES", 5)
+        assert verify_certificate(out.certificate, d)
+        projected = project_certificate(out.certificate, red.sign_partition)
+        assert verify_partition_certificate(projected, inst)
+
+    # a lexicographic candidate list on [6] whose tight s = (2, 5, 5, 2, 5, 5)
+    # (one step from s = t, theta = 12) forces (2, 4, 5) in and leaves the
+    # rest (1, 3, 1, 2, 1, 1) on the 8 candidates scoring 12
+    SPARSE = [(0, 1, 3), (0, 2, 3), (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (0, 4, 5),
+              (1, 2, 3), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)]
+    SPARSE_TARGET = (1, 3, 2, 2, 2, 2)
+
+    def test_forced_no_by_the_rests_lp(self, monkeypatch):
+        # no forced decide of the reduced n = 9/12 corpora ends NO, so the
+        # lift of a rest's LP separator is pinned on this list, through the
+        # layer: its separator of the rest, lifted, checks on all 13
+        statuses = TestPolytopeLayer._force_layer(monkeypatch)
+        with _root_forcings() as seen:
+            answer, edges, y, nodes = solver._run_search(6, self.SPARSE, self.SPARSE_TARGET, 10**5)
+        assert seen == [True] and statuses == ["infeasible"]
+        assert (answer, edges, nodes) == ("NO", None, 8)
+        assert verify_separator(y, self.SPARSE_TARGET, self.SPARSE)
+        assert not exists_subset_with_degrees(6, self.SPARSE, self.SPARSE_TARGET)
+
+    @staticmethod
+    def _margin(y, target, candidates):
+        """y.target - sum max(0, y(e)): positive exactly when y separates."""
+        return sum(map(mul, y, target)) - sum(max(0, y[i] + y[j] + y[k]) for i, j, k in candidates)
+
+    @pytest.mark.parametrize(
+        "n, candidates, target, s, theta, y, margin",
+        [
+            # y' = e_1 - e_3 separates the rest (1, 3, 1, 2, 1, 1): vertex 1
+            # needs all three of its rest candidates, which all hold vertex 3
+            (6, SPARSE, SPARSE_TARGET, (2, 5, 5, 2, 5, 5), 12, (0, 1, 0, -1, 0, 0), 1),
+            # s = t is tight, (1, 2, 3) and (1, 2, 4) are forced and the rest
+            # (1, 0, 0, 1, 1) keeps only (0, 3, 4): y' is lowered at the
+            # saturated vertices 1 and 2, and lam must outweigh y'(e) = -10
+            (5, [(0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4)],
+             (1, 2, 2, 2, 2), (1, 2, 2, 2, 2), 5, (0, 5, 0, 0, 0), 0),
+        ],
+        ids=["separating", "saturated-rest"],
+    )
+    def test_lift_keeps_the_rests_margin(self, n, candidates, target, s, theta, y, margin):
+        # by tightness, the lift of y' has the margin on the whole target
+        # that y' has on the rest over the candidates the rest searches
+        scores = [s[i] + s[j] + s[k] for i, j, k in candidates]
+        fixed = [e for e, x in zip(candidates, scores) if x > theta]
+        rest = [t - d for t, d in zip(target, degree_sum(Hypergraph(n, fixed)).values)]
+        kept = solver._includable([e for e, x in zip(candidates, scores) if x == theta], rest)
+        assert self._margin(y, rest, kept) == margin
+        lifted = solver._lifted(y, s, theta, candidates, rest)
+        assert self._margin(lifted, target, candidates) == margin
+        assert bool(verify_separator(lifted, target, candidates)) == (margin > 0)
+
+    def test_forced_triples_that_overshoot_are_a_no(self):
+        # the 5 triples scoring above theta = 66 (s = (8, 24, 14, 16, 33,
+        # 30, 19), three steps from s = t) give vertex 1 degree 5 > 4, so
+        # -e_1, lifted, separates t at one node
+        cands = [(0, 1, 3), (0, 1, 5), (0, 1, 6), (0, 3, 6), (0, 4, 6), (1, 2, 3), (1, 2, 4),
+                 (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 6), (2, 3, 4), (2, 3, 5), (2, 4, 6),
+                 (2, 5, 6), (3, 5, 6)]
+        target = (1, 4, 2, 2, 4, 3, 2)
+        with _root_forcings() as seen:
+            answer, edges, y, nodes = solver._run_search(7, cands, target, 10**5)
+        assert seen == [True]
+        assert (answer, edges, nodes) == ("NO", None, 1)
+        assert verify_separator(y, target, cands)
+        assert not exists_subset_with_degrees(7, cands, target)
+
+
 class TestEngineGolden:
     """The engine beside tests/goldens/engine.json.
 
@@ -673,7 +804,7 @@ class TestLargestResidualBranching:
         # gen_partition(12, 20, seed) reduced to degseq: with ties of
         # largest residual broken by lowest index these needed 2,297 and
         # 3,352 nodes, UNKNOWN at 2000; the smallest target first decides
-        # them in 754 and 109
+        # them in 554 (754 with an allowance of 500) and 109
         d = reduce_partition_to_degseq(gen_partition(12, 20, seed=seed, planted=planted)).degseq.d
         out = decide_degseq(d, budget=2000)
         assert out.answer == "YES"
@@ -714,7 +845,7 @@ class TestPolytopeLayer:
         return statuses
 
     # unplanted seeds that no root bound refutes: the search outlasts its
-    # allowance and the LP's separator answers NO (at 618, 626, 635 nodes)
+    # allowance and the LP's separator answers NO (at 418, 427, 435 nodes)
     @pytest.mark.parametrize("seed", [14, 21, 34])
     def test_frontier_no_by_separator(self, monkeypatch, seed):
         statuses = self._lp_statuses(monkeypatch)
@@ -773,7 +904,7 @@ class TestPolytopeLayer:
         inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
-        assert (out.answer, out.stats.nodes) == ("NO", 552)
+        assert (out.answer, out.stats.nodes) == ("NO", 352)
         assert not bruteforce_partition(inst)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
