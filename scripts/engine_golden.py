@@ -21,17 +21,17 @@ polytope row adds the separator):
   vertices of equal weight, at budgets 25 and 10^6; rows carry (w, c).
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, then on the
-  LP_SEEDS targets, at budgets 2000 and 10^6: 80 of its 270 rows reach
-  the polytope layer (24 of them a NO by its separator), 60 are refuted
-  by the root bound at 1 node, 8 are forced at the root and decided by
-  the search of the rest, and the plain search decides the others.
+  LP_SEEDS targets, at budgets 2000 and 10^6: the root bound refutes 60
+  of its 270 rows at 1 node and forces on the other 210; 56 of those
+  reach the polytope layer, 24 of them a NO whose rest was exhausted and
+  whose separator the layer supplies.
   Nodes count the LP's pivots; the row ends with the certificate edges
   and the NO separator, each null when absent.
 
 The rows of the first five sections all decide within 265 nodes, inside
 the search's allowance (300 nodes past the depth of a straight dive), so
-the polytope layer never runs on them. The root forces on 205 degseq and
-44 zero rows, never on a partition row (an all-ones target scores every
+the polytope layer never runs on them. The root forces on 288 degseq and
+48 zero rows, never on a partition row (an all-ones target scores every
 triple alike).
 
 The raw sections prepare their input as the deciders do, since `_search`

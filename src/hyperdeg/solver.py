@@ -79,23 +79,25 @@ only runs on a budget of at least 1. Every t_v and every |t_v - deg_v|
 is at most 3E, and E at most the candidate count, so every |s_v| stays
 below 3E * 2^(ROOT_STEPS + 1) and y far inside i64.
 
-The equality case forces. When s.t equals the top-E sum exactly (a
-tight s), the scores of any realization's E edges sum to that maximum,
-so it holds each candidate scoring above theta and none scoring below.
-When no s on the path fires, the first tight one puts the candidates
-above theta in the answer, leaves those below out, and the search runs
-on the theta-scoring candidates alone against the residual target (see
-_run_search). Forcing costs one node, so forced includes are never
-branched on; on a reduced 3-partition target it settles most of S+ and
-S- before the first branch. There is one forcing round, with no second
-root bound.
+The root bound also forces. Every realization's E edges score exactly
+s.t under any s, and when no s on the path fires, s.t is at most the
+top-E sum by some gap >= 0. An E-set that holds a candidate e outside the
+top E scores at most top - theta + s(e), and one that leaves out some e
+in it at most top - s(e) + theta, so every realization holds each
+candidate scoring above theta + gap and none scoring below theta - gap
+(reduced-cost fixing; a tight s, gap 0, fixes all but the theta-scoring
+ones). The s on the path that fixes the most puts the former in the
+answer, leaves the latter out, and the search runs on the rest against
+the residual target (see _run_search). Forcing costs one node, so forced
+includes are never branched on; on a reduced 3-partition target it
+settles most of S+ and S- before the first branch. There is one forcing
+round, with no second root bound.
 
 The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
-which the root bound catches only where its short ascent meets a tight
-s), so a search that outlasts a fixed allowance (ALLOWANCE nodes plus
-the depth of a straight dive) hands over to polytope.solve once (see
-_run_search). Its infeasibility yields a separator y (its duals
+which the root bound catches only in part), so a search that outlasts
+a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive)
+hands over to polytope.solve once (see _run_search). Its infeasibility yields a separator y (its duals
 rationally reconstructed and scaled by the lcm of their denominators), a
 NO only once core.verify_separator has checked it exactly; its final
 point x* otherwise reorders the candidates for a restart on the
@@ -321,7 +323,7 @@ def _root_separator(
     candidates: Sequence[Triple],
     ranked: tuple[list[int], list[int]],
     size: int,
-    tight: Union[list, None] = None,
+    fixing: Union[list, None] = None,
 ) -> Union[tuple[int, ...], None]:
     """The root bound: y = 3s - theta*1 for the first s on its path that refutes t.
 
@@ -334,10 +336,11 @@ def _root_separator(
     the path fires, when a stop shows that s cannot, or when size exceeds
     the candidate count.
 
-    A list passed as tight receives (s, scores, theta) of the first s on
-    the path whose s.t equals the top-size sum, its scores one per
-    candidate: every realization scores exactly that sum, so it holds
-    each candidate scoring above theta and none below (_run_search's
+    A list passed as fixing receives (count, scores, theta, gap) of the s
+    on the path that fixes the most candidates, its scores one per
+    candidate, gap = top-size sum - s.t >= 0: every realization scores
+    s.t, so it holds each candidate scoring above theta + gap and none
+    scoring below theta - gap, count of them in all (_run_search's
     forcing). The climb goes on past it, since a later s may still fire.
     """
     scores, order = ranked
@@ -354,9 +357,11 @@ def _root_separator(
         top = sum(map(scores.__getitem__, order[:size]))
         if value > top:
             return tuple(3 * v - theta for v in s)
-        # past the E*theta test some score is above theta, so a tight s forces
-        if value == top and tight == []:
-            tight.extend((s, scores, theta))
+        if fixing is not None:
+            gap = top - value
+            count = sum(x > theta + gap or x < theta - gap for x in scores)
+            if count > (fixing[0] if fixing else 0):
+                fixing[:] = (count, scores, theta, gap)
         if step == ROOT_STEPS:
             break
         # t - deg(T), a supergradient of s.t - top-E sum
@@ -389,25 +394,30 @@ def _run_search(
     separator that the root bound's short ascent proposes (_root_separator,
     from s = t) and the check accepts answers NO at one node.
 
-    Otherwise, if the ascent met a tight s, the root forces: A, the
-    searched candidates scoring above theta, joins the answer; the rest,
-    those scoring exactly theta (still lexicographic), is what the steps
-    below search, against r = effective - deg(A), on budget - 1 nodes, the
-    one node being the forcing's. Some r_v < 0 is a NO at that node, since
-    every realization holds A; -e_v, lifted, is its separator once
-    checked. A YES of the rest gains A. A separator of the rest is lifted
-    by _lifted before the usual lowering and check, and one that fails the
-    check decides nothing; an exhausted rest is an exhausted search, a NO
-    without a separator.
+    Otherwise, if some s on the ascent fixes candidates (see the module
+    docstring), the root forces on the one that fixes the most: A, the
+    searched candidates scoring above theta + gap, joins the answer, those
+    scoring below theta - gap are left out, and the plain search runs on
+    the rest against r = effective - deg(A), the forcing costing one node.
+    The rest keeps the demand order of the searched side: ranked again by
+    r, planted reduced rests ran into the allowance. A YES of the rest
+    gains A. Some r_v < 0 is a NO at the forcing's node, since every
+    realization holds A, and an exhausted rest is a NO too; a forced NO
+    then asks polytope.solve (below) for a separator, the one an unforced
+    search that outlasts its allowance would get, and stands without one
+    if the LP is feasible or the budget runs out first.
 
-    The plain search first gets ALLOWANCE nodes plus the depth of a straight
-    dive. If that runs out with budget left, polytope.solve runs once on
-    the searched side, warm-started from the search's first dive, its
-    pivots charged as nodes: an infeasible LP whose separator passes the
-    exact check answers NO; otherwise the search restarts on the remaining
+    The plain search first gets ALLOWANCE nodes plus the depth of a
+    straight dive (of the rest, once forced). If that runs out with budget
+    left, polytope.solve runs once on the whole searched side,
+    warm-started from A and the search's first dive, its pivots charged
+    as nodes: an infeasible LP whose separator passes the exact check
+    answers NO; otherwise the search restarts, unforced, on the remaining
     budget with the candidates ranked by -x*_e (stable on the demand
     order). Nothing here depends on the budget except where it stops, so a
-    larger budget gives the same YES/NO at the same node count.
+    larger budget gives the same YES/NO at the same node count, but for a
+    forced NO whose LP the budget cut short: it gains its separator and
+    the LP's pivots.
     """
     target = tuple(target)
     total = sum(target)
@@ -421,61 +431,65 @@ def _run_search(
     searched = _includable(candidates, effective)
     ranked = _ordered_candidates(searched, effective)
     size = sum(effective) // 3  # the edge count of every realization
-    force = None  # (s, theta, searched, rest) once the root forces
 
     def certified(y: Union[tuple[int, ...], None]) -> Union[tuple[int, ...], None]:
         """A separator of the searched side as a checked one of target, or None.
 
-        y is proposed on the candidates the search ran on: after forcing,
-        those of the rest, so _lifted first makes it a separator of the
-        searched side. A vertex of zero demand has no candidate there, so
-        its entry is lowered (y.effective stays the same) until no
-        candidate through it scores above 0.
+        y is proposed on the searched candidates. A vertex of zero demand
+        has none there, so its entry is lowered (y.effective stays the
+        same) until no candidate through it scores above 0.
         """
         if y is None:
             return None
-        if force is not None:
-            y = _lifted(y, *force)
-        y = _lowered(y, effective)
+        if 0 in effective:
+            low = -2 * max(0, *y)
+            y = tuple(v if t else min(v, low) for v, t in zip(y, effective))
         if flipped:
             y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
         return y if verify_separator(y, target, candidates) else None
 
-    tight: list = []
+    fixing: list = []
     if budget:
-        y = certified(_root_separator(effective, searched, ranked, size, tight))
+        y = certified(_root_separator(effective, searched, ranked, size, fixing))
         if y is not None:
             return "NO", None, y, 1
-    goal, fixed, spent = effective, (), 0
-    if tight:
-        s, scores, theta = tight
-        fixed = tuple(e for e, x in zip(searched, scores) if x > theta)
-        goal = tuple(map(sub, effective, _degrees(n, fixed)))
-        force = (s, theta, searched, goal)
-        if min(goal) < 0:
-            # the forced triples alone overshoot t_v: -e_v separates the rest
-            v = goal.index(min(goal))
-            return "NO", None, certified(tuple(-(u == v) for u in range(n))), 1
-        searched = _includable([e for e, x in zip(searched, scores) if x == theta], goal)
-        ranked = _ordered_candidates(searched, goal)
-        size -= len(fixed)
-        spent = 1
     ordered = [searched[p] for p in ranked[1]]
     dive: list[int] = []
-    allowance = ALLOWANCE + size
-    answer, edges, nodes = _search(n, ordered, goal, min(budget - spent, allowance), dive)
-    nodes += spent
-    if answer == "UNKNOWN" and nodes < budget:
-        from . import polytope  # only searches that outlast the allowance load it
+    fixed: tuple[Triple, ...] = ()
+    if fixing:
+        _, scores, theta, gap = fixing
+        score = [scores[p] for p in ranked[1]]
+        forced = [q for q, x in enumerate(score) if x > theta + gap]
+        fixed = tuple(map(ordered.__getitem__, forced))
+        goal = tuple(map(sub, effective, _degrees(n, fixed)))
+        answer, edges, nodes = "NO", None, 1
+        # forced triples that alone overshoot some t_v leave nothing to search
+        if min(goal) >= 0:
+            rest = [
+                q for q, (x, e) in enumerate(zip(score, ordered))
+                if abs(x - theta) <= gap and goal[e[0]] and goal[e[1]] and goal[e[2]]
+            ]
+            allowance = ALLOWANCE + size - len(fixed)
+            answer, edges, more = _search(
+                n, list(map(ordered.__getitem__, rest)), goal, min(budget - 1, allowance), dive
+            )
+            nodes += more
+            dive[:] = forced + [rest[q] for q in dive]
+    else:
+        answer, edges, nodes = _search(n, ordered, effective, min(budget, ALLOWANCE + size), dive)
+    # a forced NO asks the polytope for the separator an exhausted rest lacks
+    if (answer == "UNKNOWN" or fixing and answer == "NO") and nodes < budget:
+        from . import polytope  # only searches past the allowance, and forced NOs, load it
 
-        lp = polytope.solve(n, ordered, goal, dive, budget - nodes)
+        lp = polytope.solve(n, ordered, effective, dive, budget - nodes)
         nodes += lp.pivots
         y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
         if y is not None:
             return "NO", None, y, nodes
-        if nodes < budget:
+        fixed = ()
+        if answer == "UNKNOWN" and nodes < budget:
             rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
-            answer, edges, more = _search(n, [ordered[p] for p in rank], goal, budget - nodes)
+            answer, edges, more = _search(n, [ordered[p] for p in rank], effective, budget - nodes)
             nodes += more
     if answer == "YES":
         edges += fixed
@@ -484,42 +498,6 @@ def _run_search(
             edges = tuple(e for e in candidates if e not in complement)
         edges = tuple(sorted(edges))
     return answer, edges, None, nodes
-
-
-def _lifted(
-    y: tuple[int, ...],
-    s: Sequence[int],
-    theta: int,
-    scored: Sequence[Triple],
-    rest: Sequence[int],
-) -> tuple[int, ...]:
-    """A separator y' of the forced rest as one of the target it was forced from.
-
-    s is tight on scored with theta its size-th largest score, and rest is
-    that target less the degrees of the candidates scoring above theta. y'
-    is proposed on the theta-scoring candidates that _includable kept for
-    rest, so it is first lowered against rest (_lowered); then Y = lam *
-    (3s - theta*1) + y', lam = 1 + max |y'(e)| over scored. Every triple
-    above theta scores above 0 under Y and every one below it under 0, so
-    by tightness Y.t - sum max(0, Y(e)) = y'.rest - sum max(0, y'(e)) over
-    the theta-scoring ones: Y separates when y' does.
-    """
-    y = _lowered(y, rest)
-    lam = 1 + max(abs(y[i] + y[j] + y[k]) for i, j, k in scored)
-    return tuple(lam * (3 * v - theta) + u for v, u in zip(s, y))
-
-
-def _lowered(y: tuple[int, ...], target: Sequence[int]) -> tuple[int, ...]:
-    """y with each entry at a zero-demand vertex made at most -2 * max(0, y).
-
-    y.target stays the same, and no triple through such a vertex scores
-    above 0, so a separator of the includable candidates (_includable)
-    separates every candidate.
-    """
-    if 0 not in target:
-        return y
-    low = -2 * max(0, *y)
-    return tuple(v if t else min(v, low) for v, t in zip(y, target))
 
 
 def _decide(

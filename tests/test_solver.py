@@ -507,7 +507,7 @@ def _root_firings():
 
 
 def _root_forcings():
-    """Record, per call of the root bound, whether it met a tight s and did not fire."""
+    """Record, per call of the root bound, whether its ascent fixed candidates and it did not fire."""
     return _root_spy(lambda y, *args: y is None and bool(args[4]))
 
 
@@ -613,7 +613,7 @@ class TestRootBound:
 class TestRootForcing:
     def test_forced_decides_agree_with_ground_truth(self):
         # every target on n <= 6, and reduced gen_partition(9, 8, s): each
-        # decide whose root bound meets a tight s answers as the oracle
+        # decide whose root bound fixes candidates answers as the oracle
         # does, with a certificate or a separator that checks on all triples
         forced = {"exhaustive": 0, "reduced": 0}
         with _root_forcings() as seen:
@@ -663,70 +663,78 @@ class TestRootForcing:
         projected = project_certificate(out.certificate, red.sign_partition)
         assert verify_partition_certificate(projected, inst)
 
-    # a lexicographic candidate list on [6] whose tight s = (2, 5, 5, 2, 5, 5)
-    # (one step from s = t, theta = 12) forces (2, 4, 5) in and leaves the
-    # rest (1, 3, 1, 2, 1, 1) on the 8 candidates scoring 12
+    @staticmethod
+    def _fixings_hold(n, candidates):
+        """Check the root bound's fixings against every realization; count them by gap."""
+        realizations = {}
+        for bits in range(1 << len(candidates)):
+            h = {e for p, e in enumerate(candidates) if bits >> p & 1}
+            realizations.setdefault(degree_sum(Hypergraph(n, sorted(h))).values, []).append(h)
+        seen = {"tight": 0, "gap": 0}
+        for t, hs in realizations.items():
+            searched = solver._includable(candidates, t)
+            fixing = []
+            ranked = _ordered_candidates(searched, t)
+            assert solver._root_separator(t, searched, ranked, sum(t) // 3, fixing) is None
+            if fixing:
+                _, scores, theta, gap = fixing
+                inside = {e for e, x in zip(searched, scores) if x > theta + gap}
+                outside = {e for e, x in zip(searched, scores) if x < theta - gap}
+                assert all(inside <= h and not outside & h for h in hs), t
+                seen["gap" if gap else "tight"] += 1
+        return seen
+
+    def test_fixings_hold_in_every_realization(self):
+        # every realizable target of all triples on n <= 5, and of sparse
+        # candidate lists on [7]: each realization holds every candidate
+        # fixed in and none fixed out, with gap 0 (tight) or above it
+        seen = {"tight": 0, "gap": 0}
+        lists = [(n, enumerate_triples(n)) for n in range(6)]
+        rng = SplitMix64(7)
+        for _ in range(12):
+            lists.append((7, [e for e in enumerate_triples(7) if rng.below(5) < 2][:12]))
+        for n, candidates in lists:
+            for key, count in self._fixings_hold(n, candidates).items():
+                seen[key] += count
+        assert seen["tight"] > 1000 and seen["gap"] > 1000, seen
+
+    # a lexicographic candidate list on [6] whose s = (2, 5, 5, 2, 5, 5)
+    # (one step from s = t, theta = 12, gap 0) forces (2, 4, 5) in and leaves
+    # the rest (1, 3, 1, 2, 1, 1) on the 8 candidates scoring 12
     SPARSE = [(0, 1, 3), (0, 2, 3), (0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (0, 4, 5),
               (1, 2, 3), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)]
     SPARSE_TARGET = (1, 3, 2, 2, 2, 2)
 
-    def test_forced_no_by_the_rests_lp(self, monkeypatch):
-        # no forced decide of the reduced n = 9/12 corpora ends NO, so the
-        # lift of a rest's LP separator is pinned on this list, through the
-        # layer: its separator of the rest, lifted, checks on all 13
-        statuses = TestPolytopeLayer._force_layer(monkeypatch)
+    def test_forced_no_asks_the_lp_for_a_separator(self, monkeypatch):
+        # the rest is exhausted in 5 nodes (vertex 1 needs all three of its
+        # rest candidates, which all hold vertex 3), so the NO is settled; the
+        # LP on the whole list then supplies its separator in 5 pivots
+        statuses = TestPolytopeLayer._lp_statuses(monkeypatch)
         with _root_forcings() as seen:
             answer, edges, y, nodes = solver._run_search(6, self.SPARSE, self.SPARSE_TARGET, 10**5)
         assert seen == [True] and statuses == ["infeasible"]
-        assert (answer, edges, nodes) == ("NO", None, 8)
+        assert (answer, edges, nodes) == ("NO", None, 11)
+        assert y == (0, 1, 0, -1, 0, 0)
         assert verify_separator(y, self.SPARSE_TARGET, self.SPARSE)
         assert not exists_subset_with_degrees(6, self.SPARSE, self.SPARSE_TARGET)
 
-    @staticmethod
-    def _margin(y, target, candidates):
-        """y.target - sum max(0, y(e)): positive exactly when y separates."""
-        return sum(map(mul, y, target)) - sum(max(0, y[i] + y[j] + y[k]) for i, j, k in candidates)
-
-    @pytest.mark.parametrize(
-        "n, candidates, target, s, theta, y, margin",
-        [
-            # y' = e_1 - e_3 separates the rest (1, 3, 1, 2, 1, 1): vertex 1
-            # needs all three of its rest candidates, which all hold vertex 3
-            (6, SPARSE, SPARSE_TARGET, (2, 5, 5, 2, 5, 5), 12, (0, 1, 0, -1, 0, 0), 1),
-            # s = t is tight, (1, 2, 3) and (1, 2, 4) are forced and the rest
-            # (1, 0, 0, 1, 1) keeps only (0, 3, 4): y' is lowered at the
-            # saturated vertices 1 and 2, and lam must outweigh y'(e) = -10
-            (5, [(0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4)],
-             (1, 2, 2, 2, 2), (1, 2, 2, 2, 2), 5, (0, 5, 0, 0, 0), 0),
-        ],
-        ids=["separating", "saturated-rest"],
-    )
-    def test_lift_keeps_the_rests_margin(self, n, candidates, target, s, theta, y, margin):
-        # by tightness, the lift of y' has the margin on the whole target
-        # that y' has on the rest over the candidates the rest searches
-        scores = [s[i] + s[j] + s[k] for i, j, k in candidates]
-        fixed = [e for e, x in zip(candidates, scores) if x > theta]
-        rest = [t - d for t, d in zip(target, degree_sum(Hypergraph(n, fixed)).values)]
-        kept = solver._includable([e for e, x in zip(candidates, scores) if x == theta], rest)
-        assert self._margin(y, rest, kept) == margin
-        lifted = solver._lifted(y, s, theta, candidates, rest)
-        assert self._margin(lifted, target, candidates) == margin
-        assert bool(verify_separator(lifted, target, candidates)) == (margin > 0)
-
-    def test_forced_triples_that_overshoot_are_a_no(self):
+    def test_forced_triples_that_overshoot_are_a_no(self, monkeypatch):
         # the 5 triples scoring above theta = 66 (s = (8, 24, 14, 16, 33,
-        # 30, 19), three steps from s = t) give vertex 1 degree 5 > 4, so
-        # -e_1, lifted, separates t at one node
+        # 30, 19), three steps from s = t, gap 0) give vertex 1 degree 5 > 4:
+        # a NO at the forcing's node, whose separator the LP then supplies
         cands = [(0, 1, 3), (0, 1, 5), (0, 1, 6), (0, 3, 6), (0, 4, 6), (1, 2, 3), (1, 2, 4),
                  (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 6), (2, 3, 4), (2, 3, 5), (2, 4, 6),
                  (2, 5, 6), (3, 5, 6)]
         target = (1, 4, 2, 2, 4, 3, 2)
+        statuses = TestPolytopeLayer._lp_statuses(monkeypatch)
         with _root_forcings() as seen:
             answer, edges, y, nodes = solver._run_search(7, cands, target, 10**5)
-        assert seen == [True]
-        assert (answer, edges, nodes) == ("NO", None, 1)
+        assert seen == [True] and statuses == ["infeasible"]
+        assert (answer, edges, nodes) == ("NO", None, 10)
         assert verify_separator(y, target, cands)
         assert not exists_subset_with_degrees(7, cands, target)
+        # with no budget left for the LP the NO stands, without a separator
+        assert solver._run_search(7, cands, target, 1) == ("NO", None, None, 1)
 
 
 class TestEngineGolden:
