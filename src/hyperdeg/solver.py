@@ -97,11 +97,11 @@ The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
 which the root bound catches only in part), so a search that outlasts
 a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive)
-hands over to polytope.solve once (see _run_search). Its infeasibility yields a separator y (its duals
-rationally reconstructed and scaled by the lcm of their denominators), a
-NO only once core.verify_separator has checked it exactly; its final
-point x* otherwise reorders the candidates for a restart on the
-remaining budget. Pivots count as nodes.
+hands over to polytope.solve once (see _run_search). Its infeasibility
+yields a separator y (its duals rationally reconstructed and scaled by
+the lcm of their denominators), a NO only once core.verify_separator
+has checked it exactly; its final point x* otherwise reorders the
+candidates for a restart on the remaining budget. Pivots count as nodes.
 
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger

@@ -507,7 +507,7 @@ def _root_firings():
 
 
 def _root_forcings():
-    """Record, per call of the root bound, whether its ascent fixed candidates and it did not fire."""
+    """Record, per call of the root bound, whether its ascent fixed candidates without firing."""
     return _root_spy(lambda y, *args: y is None and bool(args[4]))
 
 
@@ -718,6 +718,19 @@ class TestRootForcing:
         assert verify_separator(y, self.SPARSE_TARGET, self.SPARSE)
         assert not exists_subset_with_degrees(6, self.SPARSE, self.SPARSE_TARGET)
 
+    def test_reduced_forced_no_takes_the_lps_separator(self, monkeypatch):
+        # reduced gen_partition(12, 20, seed=14), a NO: the root bound does
+        # not fire but forces, and the LP on all triples gives the separator
+        statuses = TestPolytopeLayer._lp_statuses(monkeypatch)
+        inst = gen_partition(12, 20, seed=14)
+        d = reduce_partition_to_degseq(inst).degseq.d
+        with _root_forcings() as seen:
+            out = decide_degseq(d, budget=2000)
+        assert seen == [True] and statuses == ["infeasible"]
+        assert (out.answer, out.stats.nodes) == ("NO", 409)
+        assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
+        assert not bruteforce_partition(inst)
+
     def test_forced_triples_that_overshoot_are_a_no(self, monkeypatch):
         # the 5 triples scoring above theta = 66 (s = (8, 24, 14, 16, 33,
         # 30, 19), three steps from s = t, gap 0) give vertex 1 degree 5 > 4:
@@ -811,8 +824,8 @@ class TestLargestResidualBranching:
     def test_reduced_yes_within_2000_nodes(self, seed, planted):
         # gen_partition(12, 20, seed) reduced to degseq: with ties of
         # largest residual broken by lowest index these needed 2,297 and
-        # 3,352 nodes, UNKNOWN at 2000; the smallest target first decides
-        # them in 554 (754 with an allowance of 500) and 109
+        # 3,352 nodes, UNKNOWN at 2000; the smallest target first decided
+        # them in 754 and 109, and with root forcing they take 474 and 303
         d = reduce_partition_to_degseq(gen_partition(12, 20, seed=seed, planted=planted)).degseq.d
         out = decide_degseq(d, budget=2000)
         assert out.answer == "YES"
@@ -852,8 +865,8 @@ class TestPolytopeLayer:
         monkeypatch.setattr(polytope, "solve", spy)
         return statuses
 
-    # unplanted seeds that no root bound refutes: the search outlasts its
-    # allowance and the LP's separator answers NO (at 418, 427, 435 nodes)
+    # unplanted seeds that no root bound refutes: the root forces, and the
+    # LP's separator answers NO (at 409, 344, 340 nodes)
     @pytest.mark.parametrize("seed", [14, 21, 34])
     def test_frontier_no_by_separator(self, monkeypatch, seed):
         statuses = self._lp_statuses(monkeypatch)
