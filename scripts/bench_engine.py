@@ -18,6 +18,10 @@ from time import perf_counter
 from hyperdeg import SplitMix64, decide_degseq, gen_planted_degseq
 from hyperdeg.core import I64_MAX
 
+# gen_planted_degseq lists every triple of [n] before it samples: 280,840
+# at n = 120, which still covers the n = 100 frontier
+MAX_SIZE = 120
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -30,6 +34,8 @@ def main() -> None:
         parser.error("--per-size must be at least 1")
     if min(args.sizes) < 0:
         parser.error("--sizes must be at least 0")
+    if max(args.sizes) > MAX_SIZE:
+        parser.error(f"--sizes must be at most {MAX_SIZE}")
     if not 0 <= args.budget <= I64_MAX:
         parser.error("--budget must be at least 0 and at most 2^63 - 1")
 

@@ -28,11 +28,14 @@ polytope row adds the separator):
   Nodes count the LP's pivots; the row ends with the certificate edges
   and the NO separator, each null when absent.
 
-The rows of the first five sections all decide within 265 nodes, inside
+The rows of the first five sections all decide within 143 nodes, inside
 the search's allowance (300 nodes past the depth of a straight dive), so
 the polytope layer never runs on them. The root forces on 288 degseq and
 48 zero rows, never on a partition row (an all-ones target scores every
-triple alike).
+triple alike). The construction runs on 1189 of the 3105 degseq rows and
+builds every one, and on the 250 partition rows at n = 3, whose one
+triple is all of S0, at the 2 nodes the search took; it runs on no zero
+or polytope row.
 
 The raw sections prepare their input as the deciders do, since `_search`
 checks neither half of its precondition: a target total not divisible by

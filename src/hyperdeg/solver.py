@@ -93,6 +93,28 @@ includes are never branched on; on a reduced 3-partition target it
 settles most of S+ and S- before the first branch. There is one forcing
 round, with no second root bound.
 
+Where the root bound neither fires nor fixes and the candidates are every
+triple of [n] (every decide_degseq, and decide_zero with w = 0), a
+construction runs before the search (_construct): Havel-Hakimi for
+triples, which adds the triple of the vertex of largest residual with the
+two others of largest residual whose triple is unused, then min-conflicts
+repair (Minton, Johnston, Philips & Laird, "Minimizing conflicts",
+Artificial Intelligence 58, 1992), which adds or removes a triple at a
+random vertex whose residual is not 0. Deciding is NP-complete (the
+paper), so no such rule is complete, but a target inside the polytope
+(below) has many realizations and the construction finds one on nearly every
+planted target. It answers YES only, never NO: a built edge set is a
+realization by its own final check, and _decide verifies its certificate
+like any other. A construction that fails hands over to the search, which
+runs as if it had not, on the budget it left. Each triple added and each
+repair move costs a node, and the final check one more, so a construction
+without repair costs E + 1 nodes, the depth of a straight dive. Its steps
+do not depend on the budget, so a larger budget gives the same YES at the
+same node count, and one node less is UNKNOWN. Targets reduced from
+3-partition lie on the boundary, where the root bound nearly always
+fixes, so the construction seldom runs on them; it never runs on a
+decide_zero or decide_partition target whose S0 is not every triple.
+
 The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
 which the root bound catches only in part), so a search that outlasts
@@ -147,12 +169,15 @@ from .reduction import (
     reduce_partition_to_zero,
     verify_zero_certificate,
 )
+from .workbench import SplitMix64
 
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
 ALLOWANCE = 300
 # supergradient steps the root bound may take from s = t before it gives up
 ROOT_STEPS = 3
+# repair moves a construction may make before it hands over to the search
+REPAIR_MOVES = 60
 
 
 def prefilter_degseq(d: DegreeSequence) -> Union[str, None]:
@@ -375,6 +400,116 @@ def _root_separator(
     return None
 
 
+def _construct(
+    target: Sequence[int], size: int, budget: int
+) -> tuple[Union[tuple[Triple, ...], None], int]:
+    """Havel-Hakimi for triples, then min-conflicts repair; returns (edges or None, nodes).
+
+    The triples are every triple of the vertices of positive demand. The
+    construction adds size triples, each that of the vertex of largest
+    residual with the two others of largest residual whose triple is
+    unused, overshoot allowed. The repair then picks a random vertex v with
+    r_v != 0: for r_v > 0 it adds v's unused triple of largest partner
+    residuals, for r_v < 0 it removes v's triple of least partner residual
+    sum; one move in ten picks the triple at random instead. Among equal
+    residuals the larger target comes first, then a random rank per vertex
+    (random ties alone cost more nodes on planted targets and build fewer
+    reduced ones). All draws come from a SplitMix64 seeded from the target,
+    so the outcome repeats. Each triple added and each move costs a node,
+    and the final check one more; the moves stop after REPAIR_MOVES. None,
+    with the nodes spent, when r is not 0 by then, or with the whole budget
+    when it runs out first.
+
+    Precondition: size = sum(target) / 3, and the vertices of positive
+    demand have at least size triples (so at least three of them when
+    size > 0).
+    """
+    seed = len(target)
+    for t in target:
+        seed = (seed * 0x100000001B3 + t) & 0xFFFFFFFFFFFFFFFF
+    rng = SplitMix64(seed)
+    verts = [v for v, t in enumerate(target) if t]
+    # ascending key is descending residual r_v = -(key[v] >> shift), then
+    # descending target, then a random byte of a draw
+    shift = max(target, default=0).bit_length() + 9
+    one = 1 << shift
+    ranks = b"".join(rng.next_u64().to_bytes(8, "little") for _ in range(0, len(target), 8))
+    key = [(one >> 1) - (t << 8) + rank - t * one for rank, t in zip(ranks, target)]
+    order = sorted(verts, key=key.__getitem__)
+    bit = [1 << v for v in range(len(target))]
+    edges: dict[int, Triple] = {}  # a triple's vertex bitmask -> the triple
+
+    def pick(v: int, others: list[int]) -> bool:
+        """Add v's triple with the first pair a, c of others whose triple is unused.
+
+        Pairs go by c's position, then a's (colex), so with others in key
+        order the partners of largest residual come first. False when
+        every triple through v is used.
+        """
+        bv = bit[v]
+        for q in range(1, len(others)):
+            c = others[q]
+            bc = bv | bit[c]
+            for a in others[:q]:
+                m = bc | bit[a]
+                if m not in edges:
+                    edges[m] = (v, a, c)
+                    key[v] += one
+                    key[a] += one
+                    key[c] += one
+                    return True
+        return False
+
+    nodes = 0
+    for _ in range(size):
+        nodes += 1
+        if nodes > budget:
+            return None, budget
+        order.sort(key=key.__getitem__)
+        # the top two partners inline: pick's call and scan are the rare case
+        v, a, c = order[0], order[1], order[2]
+        m = bit[v] | bit[a] | bit[c]
+        if m not in edges:
+            edges[m] = (v, a, c)
+            key[v] += one
+            key[a] += one
+            key[c] += one
+        elif not pick(v, order[1:]):
+            break
+    bad = [v for v in verts if key[v] >> shift]
+    for _ in range(REPAIR_MOVES):
+        if not bad:
+            break
+        nodes += 1
+        if nodes > budget:
+            return None, budget
+        v = bad[rng.below(len(bad))]
+        wild = rng.below(10) == 0
+        if key[v] < 0:
+            order.sort(key=key.__getitem__)
+            others = [u for u in order if u != v]
+            if wild:
+                rng.shuffle(others)
+            pick(v, others)
+        else:
+            through = [m for m in edges if m & bit[v]]
+            m = (
+                through[rng.below(len(through))]
+                if wild
+                # the least residual sum, by -r_u = key[u] >> shift
+                else max(through, key=lambda m: sum(key[u] >> shift for u in edges[m]))
+            )
+            for u in edges.pop(m):
+                key[u] -= one
+        bad = [v for v in verts if key[v] >> shift]
+    nodes += 1
+    if nodes > budget:
+        return None, budget
+    if bad:
+        return None, nodes
+    return tuple(tuple(sorted(e)) for e in edges.values()), nodes
+
+
 def _run_search(
     n: int, candidates: Sequence[Triple], target: Sequence[int], budget: int
 ) -> tuple[Answer, Union[tuple[Triple, ...], None], Union[tuple[int, ...], None], int]:
@@ -393,6 +528,12 @@ def _run_search(
     list stays for flipping a YES back and for checking a separator. A
     separator that the root bound's short ascent proposes (_root_separator,
     from s = t) and the check accepts answers NO at one node.
+
+    Where no s fixes, the candidates are every triple of [n] and the
+    searched side holds at least size of them, the construction
+    (_construct) runs on effective; a built edge set is a YES at the nodes
+    it spent, flipped back like the search's, and a failed one hands its
+    remaining budget to the steps below, unchanged.
 
     Otherwise, if some s on the ascent fixes candidates (see the module
     docstring), the root forces on the one that fixes the most: A, the
@@ -448,11 +589,23 @@ def _run_search(
             y = tuple(-v for v in y)  # y separates cand_deg - t exactly when -y separates t
         return y if verify_separator(y, target, candidates) else None
 
+    def realized(edges: Sequence[Triple]) -> tuple[Triple, ...]:
+        """A YES of the searched side as the sorted edges of one of target."""
+        if flipped:
+            complement = set(edges)
+            edges = [e for e in candidates if e not in complement]
+        return tuple(sorted(edges))
+
     fixing: list = []
     if budget:
         y = certified(_root_separator(effective, searched, ranked, size, fixing))
         if y is not None:
             return "NO", None, y, 1
+    spent = 0
+    if not fixing and len(candidates) == comb(n, 3) and size <= len(searched):
+        built, spent = _construct(effective, size, budget)
+        if built is not None:
+            return "YES", realized(built), None, spent
     ordered = [searched[p] for p in ranked[1]]
     dive: list[int] = []
     fixed: tuple[Triple, ...] = ()
@@ -476,7 +629,9 @@ def _run_search(
             nodes += more
             dive[:] = forced + [rest[q] for q in dive]
     else:
-        answer, edges, nodes = _search(n, ordered, effective, min(budget, ALLOWANCE + size), dive)
+        allowance = min(budget - spent, ALLOWANCE + size)
+        answer, edges, nodes = _search(n, ordered, effective, allowance, dive)
+        nodes += spent
     # a forced NO asks the polytope for the separator an exhausted rest lacks
     if (answer == "UNKNOWN" or fixing and answer == "NO") and nodes < budget:
         from . import polytope  # only searches past the allowance, and forced NOs, load it
@@ -492,11 +647,7 @@ def _run_search(
             answer, edges, more = _search(n, [ordered[p] for p in rank], effective, budget - nodes)
             nodes += more
     if answer == "YES":
-        edges += fixed
-        if flipped:
-            complement = set(edges)
-            edges = tuple(e for e in candidates if e not in complement)
-        edges = tuple(sorted(edges))
+        edges = realized(edges + fixed)
     return answer, edges, None, nodes
 
 

@@ -38,6 +38,7 @@ def test_script_runs(script, args, expect):
         ("bench_engine.py", ["--per-size", "0"], "--per-size must be at least 1"),
         ("bench_engine.py", ["--sizes", "-1"], "--sizes must be at least 0"),
         ("bench_engine.py", ["--sizes", "6", "-1"], "--sizes must be at least 0"),
+        ("bench_engine.py", ["--sizes", "6", "99999"], "--sizes must be at most 120"),
         ("bench_engine.py", ["--budget", "-1"], "--budget must be at least 0"),
         ("equivalence_experiment.py", ["--count", "-3"], "--count must be at least 1"),
         ("equivalence_experiment.py", ["--count", "0"], "--count must be at least 1"),
@@ -60,6 +61,7 @@ def test_script_runs(script, args, expect):
         "bench_engine-per-size-0",
         "bench_engine-sizes-negative",
         "bench_engine-sizes-one-negative",
+        "bench_engine-sizes-past-cap",
         "bench_engine-budget-negative",
         "equivalence_experiment-count-negative",
         "equivalence_experiment-count-0",

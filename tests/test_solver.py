@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdeg import (
+    DEFAULT_BUDGET,
     DegreeSequence,
     Hypergraph,
     InstanceTooLargeError,
@@ -750,6 +751,100 @@ class TestRootForcing:
         assert solver._run_search(7, cands, target, 1) == ("NO", None, None, 1)
 
 
+@contextmanager
+def _constructions():
+    """Record, per construction, (target, size, (edges or None, nodes))."""
+    seen = []
+    real = solver._construct
+
+    def spy(target, size, budget):
+        result = real(target, size, budget)
+        seen.append((target, size, result))
+        return result
+
+    solver._construct = spy
+    try:
+        yield seen
+    finally:
+        solver._construct = real
+
+
+def _no_construction(monkeypatch):
+    """Switch the construction off: every call fails at no node."""
+    monkeypatch.setattr(solver, "_construct", lambda target, size, budget: (None, 0))
+
+
+class TestConstruction:
+    def test_exhaustive_small_targets(self):
+        # every target on n <= 6: YES exactly when realizable, and every
+        # edge set the construction builds realizes the target it was given
+        # and is the decide's YES, at the construction's node count
+        built = 0
+        with _constructions() as seen:
+            for n in range(7):
+                realizable = _realizable_degrees(n)
+                cap = comb(n - 1, 2) if n else 0
+                for vals in itertools.combinations_with_replacement(range(cap, -1, -1), n):
+                    seen.clear()
+                    d = DegreeSequence(vals)
+                    out = decide_degseq(d)
+                    assert (out.answer == "YES") == (vals in realizable), vals
+                    if out.answer == "YES":
+                        assert verify_certificate(out.certificate, d), vals
+                    for target, size, (edges, nodes) in seen:
+                        if edges is not None:
+                            built += 1
+                            assert len(edges) == size, vals
+                            h = Hypergraph(n, tuple(sorted(edges)))
+                            assert tuple(degree_sum(h)) == tuple(target), vals
+                            assert (out.answer, out.stats.nodes) == ("YES", nodes), vals
+        assert built == 205
+
+    def test_flipped_target_is_built_and_flipped_back(self):
+        # 60 of the 84 triples on [9]: the complement target is built, 24
+        # triples and 10 repair moves, and its complement is the certificate
+        d = gen_planted_degseq(9, 60, seed=150)[0].d
+        with _constructions() as seen:
+            out = decide_degseq(d)
+        [(target, size, (edges, nodes))] = seen
+        assert target == tuple(28 - x for x in d.values)
+        assert (size, nodes) == (24, 35)
+        assert (out.answer, out.stats.nodes) == ("YES", 35)
+        assert len(out.certificate.edges) == 60
+        assert not set(edges) & set(out.certificate.edges)
+        assert verify_certificate(out.certificate, d)
+
+    def test_deterministic_and_budget_monotone(self):
+        # 30 triples and 14 repair moves: built at 45 nodes, the same
+        # edges on every run and at every budget that reaches them
+        d = gen_planted_degseq(9, 30, seed=20)[0].d
+        with _constructions() as seen:
+            out = decide_degseq(d)
+        assert [(size, result[1]) for _, size, result in seen] == [(30, 45)]
+        assert (out.answer, out.stats.nodes) == ("YES", 45)
+        for budget in (45, 46, 10**6):
+            again = decide_degseq(d, budget=budget)
+            assert (again.answer, again.stats.nodes) == ("YES", 45)
+            assert again.certificate.edges == out.certificate.edges
+        # one node short, the construction stops and leaves the search none
+        short = decide_degseq(d, budget=44)
+        assert (short.answer, short.stats.nodes) == ("UNKNOWN", 44)
+
+    def test_failed_construction_hands_over_to_the_search(self, monkeypatch):
+        # no target was found with no realization that the root bound
+        # neither refutes nor fixes (n <= 7 exhaustively, 30,000 sampled
+        # at n = 8, 9), so the bound is switched off: on the complement
+        # the construction's 3 triples and 60 moves fail, and the search
+        # exhausts the rest in 5 more nodes
+        monkeypatch.setattr(solver, "_root_separator", lambda *args: None)
+        d = DegreeSequence((6, 5, 4, 3, 3))
+        with _constructions() as seen:
+            out = decide_degseq(d)
+        assert [(size, result) for _, size, result in seen] == [(3, (None, 64))]
+        assert (out.answer, out.stats.nodes, out.separator) == ("NO", 69, None)
+        assert not bruteforce_degseq(d)
+
+
 class TestEngineGolden:
     """The engine beside tests/goldens/engine.json.
 
@@ -763,12 +858,14 @@ class TestEngineGolden:
         assert _search(3, enumerate_triples(3), (1, 1, 1), 0) == ("UNKNOWN", None, 0)
 
     def test_deep_search_has_no_recursion_limit(self):
-        # the complete 3-graph on 20 of 25 vertices: 1140 includes deep
+        # the complete 3-graph on 20 of 25 vertices: 1140 includes deep.
+        # decide_degseq builds this target before any search, so _search
+        # runs on the triples of its 20 vertices of positive demand
         d = DegreeSequence((171,) * 20 + (0,) * 5)
-        out = decide_degseq(d)
-        assert out.answer == "YES"
-        assert out.stats.nodes == 1141
-        assert verify_certificate(out.certificate, d)
+        answer, edges, nodes = _search(25, enumerate_triples(20), d.values, DEFAULT_BUDGET)
+        assert answer == "YES"
+        assert nodes == 1141
+        assert verify_certificate(Hypergraph(25, tuple(sorted(edges))), d)
 
 
 @st.composite
@@ -920,8 +1017,10 @@ class TestPolytopeLayer:
         # must contain have zero demand and no candidates; the LP's
         # separator is lowered there, else the check on all triples
         # refuses it and the search ends UNKNOWN at 2000. The root bound
-        # refutes this target first, so it is switched off to reach the LP
+        # refutes this target first, and the construction would then spend
+        # nodes on it, so both are switched off to reach the LP
         monkeypatch.setattr(solver, "_root_separator", lambda *args: None)
+        _no_construction(monkeypatch)
         inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
@@ -951,13 +1050,15 @@ class TestPolytopeLayer:
 
     @classmethod
     def _force_layer(cls, monkeypatch):
-        """Allowance 0 and a record of every LP status.
+        """Allowance 0, no construction, and a record of every LP status.
 
         The search keeps the depth of a straight dive, one node short of
         finishing one, so every search that does not end in NO within that
-        many nodes reaches the polytope layer.
+        many nodes reaches the polytope layer; the construction would build
+        most feasible targets before it.
         """
         monkeypatch.setattr(solver, "ALLOWANCE", 0)
+        _no_construction(monkeypatch)
         return cls._lp_statuses(monkeypatch)
 
     def test_forced_through_the_layer_agrees_with_bruteforce(self, monkeypatch):
