@@ -86,12 +86,14 @@ top E scores at most top - theta + s(e), and one that leaves out some e
 in it at most top - s(e) + theta, so every realization holds each
 candidate scoring above theta + gap and none scoring below theta - gap
 (reduced-cost fixing; a tight s, gap 0, fixes all but the theta-scoring
-ones). The s on the path that fixes the most puts the former in the
-answer, leaves the latter out, and the search runs on the rest against
-the residual target (see _run_search). Forcing costs one node, so forced
-includes are never branched on; on a reduced 3-partition target it
-settles most of S+ and S- before the first branch. There is one forcing
-round, with no second root bound.
+ones). The s on the path that fixes the most puts the former, A, in the
+answer and leaves the latter out; the rest is the candidates in between.
+With nothing fixed, A is empty and the rest is every searched candidate,
+so there is one search path: the search runs on the rest against t less
+the degrees of A, and a YES of it gains A (see _run_search). Forcing
+costs one node, so forced includes are never branched on; on a reduced
+3-partition target it settles most of S+ and S- before the first branch.
+There is one forcing round, with no second root bound.
 
 Where the root bound neither fires nor fixes and the candidates are every
 triple of [n] (every decide_degseq, and decide_zero with w = 0), a
@@ -118,12 +120,13 @@ decide_zero or decide_partition target whose S0 is not every triple.
 The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
 which the root bound catches only in part), so a search that outlasts
-a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive)
-hands over to polytope.solve once (see _run_search). Its infeasibility
-yields a separator y (its duals rationally reconstructed and scaled by
-the lcm of their denominators), a NO only once core.verify_separator
-has checked it exactly; its final point x* otherwise reorders the
-candidates for a restart on the remaining budget. Pivots count as nodes.
+a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive of
+the rest) hands over to polytope.solve once (see _run_search). Its
+infeasibility yields a separator y (its duals rationally reconstructed
+and scaled by the lcm of their denominators), a NO only once
+core.verify_separator has checked it exactly; its final point x*
+otherwise reorders the candidates for a restart on the remaining
+budget. Pivots count as nodes.
 
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
@@ -533,39 +536,44 @@ def _run_search(
     searched side holds at least size of them, the construction
     (_construct) runs on effective; a built edge set is a YES at the nodes
     it spent, flipped back like the search's, and a failed one hands its
-    remaining budget to the steps below, unchanged.
+    remaining budget to the search below, unchanged.
 
-    Otherwise, if some s on the ascent fixes candidates (see the module
-    docstring), the root forces on the one that fixes the most: A, the
-    searched candidates scoring above theta + gap, joins the answer, those
-    scoring below theta - gap are left out, and the plain search runs on
-    the rest against r = effective - deg(A), the forcing costing one node.
-    The rest keeps the demand order of the searched side: ranked again by
-    r, planted reduced rests ran into the allowance. A YES of the rest
-    gains A. Some r_v < 0 is a NO at the forcing's node, since every
-    realization holds A, and an exhausted rest is a NO too; a forced NO
-    then asks polytope.solve (below) for a separator, the one an unforced
-    search that outlasts its allowance would get, and stands without one
-    if the LP is feasible or the budget runs out first.
+    The search runs once on a rest against a goal, in the demand order of
+    the searched side (ranked again by the goal, planted reduced rests ran
+    into the allowance). If some s on the ascent fixes candidates (see the
+    module docstring), the root forces on the one that fixes the most, at
+    the cost of one node: A, the searched candidates scoring above
+    theta + gap, joins the answer, those scoring below theta - gap are
+    left out, the rest is the others, and the goal is r = effective -
+    deg(A). Otherwise A is empty, the rest is every searched candidate and
+    the goal is effective. The search gets ALLOWANCE nodes plus the depth
+    of a straight dive of the rest, size - |A|, and a YES of it gains A.
+    Some r_v < 0 is a NO at the forcing's node, with no search, since
+    every realization holds A, and an exhausted forced rest is a NO too;
+    a forced NO then asks polytope.solve (below) for a separator, the one
+    a search that outlasts its allowance would get, and stands without
+    one if the LP is feasible or the budget runs out first.
 
-    The plain search first gets ALLOWANCE nodes plus the depth of a
-    straight dive (of the rest, once forced). If that runs out with budget
-    left, polytope.solve runs once on the whole searched side,
-    warm-started from A and the search's first dive, its pivots charged
-    as nodes: an infeasible LP whose separator passes the exact check
-    answers NO; otherwise the search restarts, unforced, on the remaining
-    budget with the candidates ranked by -x*_e (stable on the demand
-    order). Nothing here depends on the budget except where it stops, so a
-    larger budget gives the same YES/NO at the same node count, but for a
-    forced NO whose LP the budget cut short: it gains its separator and
-    the LP's pivots.
+    If the search outlasts its allowance with budget left, polytope.solve
+    runs once on the whole searched side, warm-started from A and the
+    search's first dive (from x = 0 after an overshoot, since its start
+    must stay within the target), its pivots charged as nodes: an
+    infeasible LP whose separator passes the exact check answers NO;
+    otherwise the search restarts, unforced, on the remaining budget with
+    the candidates ranked by -x*_e (stable on the demand order). Nothing
+    here depends on the budget except where it stops, so a larger budget
+    gives the same YES/NO at the same node count, but for a forced NO
+    whose LP the budget cut short: it gains its separator and the LP's
+    pivots.
     """
     target = tuple(target)
     total = sum(target)
     effective = target
     flipped = False
     if 2 * (total // 3) > len(candidates):
-        cand_deg = _degrees(n, candidates)
+        # all C(n, 3) triples meet each vertex C(n - 1, 2) times (n >= 3 past the prefilter)
+        every = len(candidates) == comb(n, 3)
+        cand_deg = [comb(n - 1, 2)] * n if every else _degrees(n, candidates)
         flipped = all(t <= cd for t, cd in zip(target, cand_deg))
         if flipped:
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))
@@ -601,37 +609,37 @@ def _run_search(
         y = certified(_root_separator(effective, searched, ranked, size, fixing))
         if y is not None:
             return "NO", None, y, 1
-    spent = 0
+    nodes = 0
     if not fixing and len(candidates) == comb(n, 3) and size <= len(searched):
-        built, spent = _construct(effective, size, budget)
+        built, nodes = _construct(effective, size, budget)
         if built is not None:
-            return "YES", realized(built), None, spent
+            return "YES", realized(built), None, nodes
     ordered = [searched[p] for p in ranked[1]]
-    dive: list[int] = []
-    fixed: tuple[Triple, ...] = ()
+    # nothing forced: A is empty and the rest is every searched position
+    forced: list[int] = []
+    rest: Sequence[int] = range(len(ordered))
+    goal = effective
     if fixing:
         _, scores, theta, gap = fixing
         score = [scores[p] for p in ranked[1]]
         forced = [q for q, x in enumerate(score) if x > theta + gap]
-        fixed = tuple(map(ordered.__getitem__, forced))
-        goal = tuple(map(sub, effective, _degrees(n, fixed)))
-        answer, edges, nodes = "NO", None, 1
-        # forced triples that alone overshoot some t_v leave nothing to search
-        if min(goal) >= 0:
-            rest = [
-                q for q, (x, e) in enumerate(zip(score, ordered))
-                if abs(x - theta) <= gap and goal[e[0]] and goal[e[1]] and goal[e[2]]
-            ]
-            allowance = ALLOWANCE + size - len(fixed)
-            answer, edges, more = _search(
-                n, list(map(ordered.__getitem__, rest)), goal, min(budget - 1, allowance), dive
-            )
-            nodes += more
-            dive[:] = forced + [rest[q] for q in dive]
-    else:
-        allowance = min(budget - spent, ALLOWANCE + size)
-        answer, edges, nodes = _search(n, ordered, effective, allowance, dive)
-        nodes += spent
+        goal = tuple(map(sub, effective, _degrees(n, map(ordered.__getitem__, forced))))
+        rest = [
+            q for q, (x, e) in enumerate(zip(score, ordered))
+            if abs(x - theta) <= gap and goal[e[0]] and goal[e[1]] and goal[e[2]]
+        ]
+        nodes = 1
+    answer, edges = "NO", None
+    dive: list[int] = []
+    # forced triples that alone overshoot some t_v leave nothing to search,
+    # and the LP starts from x = 0, since A would break its precondition
+    if min(goal, default=0) >= 0:
+        allowance = min(budget - nodes, ALLOWANCE + size - len(forced))
+        answer, edges, more = _search(n, [ordered[q] for q in rest], goal, allowance, dive)
+        nodes += more
+        dive[:] = forced + [rest[q] for q in dive]
+        if answer == "YES":
+            edges += tuple(map(ordered.__getitem__, forced))
     # a forced NO asks the polytope for the separator an exhausted rest lacks
     if (answer == "UNKNOWN" or fixing and answer == "NO") and nodes < budget:
         from . import polytope  # only searches past the allowance, and forced NOs, load it
@@ -641,13 +649,12 @@ def _run_search(
         y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
         if y is not None:
             return "NO", None, y, nodes
-        fixed = ()
         if answer == "UNKNOWN" and nodes < budget:
             rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
             answer, edges, more = _search(n, [ordered[p] for p in rank], effective, budget - nodes)
             nodes += more
     if answer == "YES":
-        edges = realized(edges + fixed)
+        edges = realized(edges)
     return answer, edges, None, nodes
 
 

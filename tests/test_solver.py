@@ -1,8 +1,10 @@
+import importlib.util
 import itertools
 from contextlib import contextmanager
 from itertools import product
 from math import comb
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,7 @@ from hyperdeg import (
     verify_zero_certificate,
 )
 from hyperdeg import polytope, solver
+from hyperdeg.core import _degrees
 from hyperdeg.oracle import degree_vectors, exists_subset_with_degrees
 from hyperdeg.solver import _ordered_candidates, _search
 
@@ -996,6 +999,34 @@ class TestPolytopeLayer:
     )
     def test_separator_by_rational_reconstruction(self, duals, want):
         assert polytope.separator(duals) == want
+
+    def test_warm_start_is_an_include_path(self, monkeypatch):
+        # polytope.solve trusts its start: distinct positions whose triples'
+        # degrees stay within target. Forced triples that alone overshoot
+        # some t_v must not reach it, so every call over the polytope
+        # golden's corpus, at both of its budgets, is checked
+        spec = importlib.util.spec_from_file_location(
+            "engine_golden", Path(__file__).resolve().parent.parent / "scripts" / "engine_golden.py"
+        )
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        real_solve = polytope.solve
+        starts = []
+
+        def spy(n, candidates, target, start, max_pivots):
+            degrees = _degrees(n, map(candidates.__getitem__, start))
+            within = all(map(int.__le__, degrees, target))
+            starts.append((len(start), len(set(start)) == len(start), within))
+            return real_solve(n, candidates, target, start, max_pivots)
+
+        monkeypatch.setattr(polytope, "solve", spy)
+        for d in golden.polytope_corpus():
+            for budget in golden.POLYTOPE_BUDGETS:
+                decide_degseq(d, budget)
+        assert len(starts) == 56
+        assert all(distinct and within for _, distinct, within in starts), starts
+        # one target's forced triples overshoot: at both budgets its LP starts from x = 0
+        assert sum(size == 0 for size, _, _ in starts) == 2
 
     def test_budget_monotone_through_the_layer(self, monkeypatch):
         statuses = self._lp_statuses(monkeypatch)
