@@ -571,9 +571,7 @@ def _run_search(
     effective = target
     flipped = False
     if 2 * (total // 3) > len(candidates):
-        # all C(n, 3) triples meet each vertex C(n - 1, 2) times (n >= 3 past the prefilter)
-        every = len(candidates) == comb(n, 3)
-        cand_deg = [comb(n - 1, 2)] * n if every else _degrees(n, candidates)
+        cand_deg = _degrees(n, candidates)
         flipped = all(t <= cd for t, cd in zip(target, cand_deg))
         if flipped:
             effective = tuple(cd - t for cd, t in zip(cand_deg, target))

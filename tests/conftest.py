@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("workbench")
+
+
+@pytest.fixture(scope="session")
+def engine_golden():
+    """scripts/engine_golden.py as a module; its __main__ guard keeps it from writing."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "engine_golden.py"
+    spec = importlib.util.spec_from_file_location("engine_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def all_triples(n):

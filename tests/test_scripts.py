@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -89,20 +88,11 @@ def test_script_rejects_empty_runs(script, args, expect):
     assert "Traceback" not in proc.stderr
 
 
-def _engine_golden():
-    path = ROOT / "scripts" / "engine_golden.py"
-    spec = importlib.util.spec_from_file_location("engine_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_engine_golden_imports():
+def test_engine_golden_imports(engine_golden):
     # the golden writer imports the engine's private _search and
     # _ordered_candidates; its __main__ guard keeps this from rewriting
     # tests/goldens/engine.json
-    module = _engine_golden()
-    assert callable(module.record) and callable(module.dump)
+    assert callable(engine_golden.record) and callable(engine_golden.dump)
 
 
 def test_engine_golden_diff_is_clean():
@@ -122,8 +112,8 @@ def test_engine_golden_diff_is_clean():
         assert len(counts) == 4 and not any(counts), line
 
 
-def test_engine_golden_diff_refuses_a_changed_answer(capsys):
-    module = _engine_golden()
+def test_engine_golden_diff_refuses_a_changed_answer(capsys, engine_golden):
+    module = engine_golden
     old = json.loads((ROOT / "tests" / "goldens" / "engine.json").read_text(encoding="utf-8"))
     assert module.diff(old, old)
     # nodes and separators may move; an answer may not

@@ -1,10 +1,8 @@
-import importlib.util
 import itertools
 from contextlib import contextmanager
 from itertools import product
 from math import comb
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1000,16 +998,11 @@ class TestPolytopeLayer:
     def test_separator_by_rational_reconstruction(self, duals, want):
         assert polytope.separator(duals) == want
 
-    def test_warm_start_is_an_include_path(self, monkeypatch):
+    def test_warm_start_is_an_include_path(self, monkeypatch, engine_golden):
         # polytope.solve trusts its start: distinct positions whose triples'
         # degrees stay within target. Forced triples that alone overshoot
         # some t_v must not reach it, so every call over the polytope
         # golden's corpus, at both of its budgets, is checked
-        spec = importlib.util.spec_from_file_location(
-            "engine_golden", Path(__file__).resolve().parent.parent / "scripts" / "engine_golden.py"
-        )
-        golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(golden)
         real_solve = polytope.solve
         starts = []
 
@@ -1020,8 +1013,8 @@ class TestPolytopeLayer:
             return real_solve(n, candidates, target, start, max_pivots)
 
         monkeypatch.setattr(polytope, "solve", spy)
-        for d in golden.polytope_corpus():
-            for budget in golden.POLYTOPE_BUDGETS:
+        for d in engine_golden.polytope_corpus():
+            for budget in engine_golden.POLYTOPE_BUDGETS:
                 decide_degseq(d, budget)
         assert len(starts) == 56
         assert all(distinct and within for _, distinct, within in starts), starts
