@@ -33,9 +33,9 @@ the search's allowance (300 nodes past the depth of a straight dive), so
 the polytope layer never runs on them. The root forces on 288 degseq and
 48 zero rows, never on a partition row (an all-ones target scores every
 triple alike). The construction runs on 1189 of the 3105 degseq rows and
-builds every one, and on the 250 partition rows at n = 3, whose one
-triple is all of S0, at the 2 nodes the search took; it runs on no zero
-or polytope row.
+builds every one, 92 of them after repair (216 moves, at most 10 on one
+row), and on the 250 partition rows at n = 3, whose one triple is all of
+S0, at the 2 nodes the search took; it runs on no zero or polytope row.
 
 The raw sections prepare their input as the deciders do, since `_search`
 checks neither half of its precondition: a target total not divisible by

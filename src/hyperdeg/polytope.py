@@ -2,9 +2,10 @@
 
 M is the vertex-by-candidate incidence matrix: column e is the indicator
 of the triple e, so an integer point of the polytope is a subset of the
-candidates with degree vector t. solver._run_search calls solve once,
-after its plain search has spent a fixed node allowance, and uses the
-answer in one of two ways:
+candidates with degree vector t. solver._run_search calls solve at most
+once per decide: after a search that outlasts its node allowance, or
+after a forced NO, to find that NO's separator. It uses the answer in one
+of two ways:
 
 - infeasible: the duals y of the phase-1 optimum satisfy
   y.t > sum_e max(0, y(e)), with y(e) = y_i + y_j + y_k (Farkas' lemma
@@ -12,10 +13,11 @@ answer in one of two ways:
   turns y into integers by rational reconstruction; only
   core.verify_separator, an exact integer test, may turn the result into
   a NO. An uncertified float dual never decides anything.
-- otherwise: the final point x* (a vertex when feasible, with at most n
-  fractional coordinates) ranks the candidates by -x*_e, and the search
-  restarts in that order, so its first dive follows an almost integral
-  solution.
+- otherwise: after a search that outlasted its allowance, the final
+  point x* (a vertex when feasible, with at most n fractional
+  coordinates) ranks the candidates by -x*_e, and the search restarts in
+  that order, so its first dive follows an almost integral solution;
+  after a forced NO, the NO stands without a separator.
 
 The simplex is the revised bounded one, over an explicit n x n basis
 inverse, with duals updated per pivot and the entering column the most

@@ -101,18 +101,19 @@ construction runs before the search (_construct): Havel-Hakimi for
 triples, which adds the triple of the vertex of largest residual with the
 two others of largest residual whose triple is unused, then min-conflicts
 repair (Minton, Johnston, Philips & Laird, "Minimizing conflicts",
-Artificial Intelligence 58, 1992), which adds or removes a triple at a
-random vertex whose residual is not 0. Deciding is NP-complete (the
-paper), so no such rule is complete, but a target inside the polytope
-(below) has many realizations and the construction finds one on nearly every
-planted target. It answers YES only, never NO: a built edge set is a
-realization by its own final check, and _decide verifies its certificate
-like any other. A construction that fails hands over to the search, which
-runs as if it had not, on the budget it left. Each triple added and each
-repair move costs a node, and the final check one more, so a construction
-without repair costs E + 1 nodes, the depth of a straight dive. Its steps
-do not depend on the budget, so a larger budget gives the same YES at the
-same node count, and one node less is UNKNOWN. Targets reduced from
+Artificial Intelligence 58, 1992), which adds or removes a triple at the
+vertices whose residual is not 0, taken round robin; nothing in it is
+drawn at random. Deciding is NP-complete (the paper), so no such rule is
+complete, but a target inside the polytope (below) has many realizations
+and the construction finds one on nearly every planted target. It
+answers YES only, never NO: a built edge set is a realization by its own
+final check, and _decide verifies its certificate like any other. A
+construction that fails hands over to the search, which runs as if it had
+not, on the budget it left. Each triple added and each repair move costs
+a node, and the final check one more, so a construction without repair
+costs E + 1 nodes, the depth of a straight dive. Its steps do not depend
+on the budget, so a larger budget gives the same YES at the same node
+count, and one node less is UNKNOWN. Targets reduced from
 3-partition lie on the boundary, where the root bound nearly always
 fixes, so the construction seldom runs on them; it never runs on a
 decide_zero or decide_partition target whose S0 is not every triple.
@@ -121,12 +122,13 @@ The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
 which the root bound catches only in part), so a search that outlasts
 a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive of
-the rest) hands over to polytope.solve once (see _run_search). Its
+the rest) hands over to polytope.solve, and so does a forced NO, for its
+separator; solve runs at most once per decide (see _run_search). Its
 infeasibility yields a separator y (its duals rationally reconstructed
 and scaled by the lcm of their denominators), a NO only once
-core.verify_separator has checked it exactly; its final point x*
-otherwise reorders the candidates for a restart on the remaining
-budget. Pivots count as nodes.
+core.verify_separator has checked it exactly; after a search past its
+allowance, its final point x* otherwise reorders the candidates for a
+restart on the remaining budget. Pivots count as nodes.
 
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
@@ -172,7 +174,6 @@ from .reduction import (
     reduce_partition_to_zero,
     verify_zero_certificate,
 )
-from .workbench import SplitMix64
 
 # nodes the plain search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
@@ -411,33 +412,28 @@ def _construct(
     The triples are every triple of the vertices of positive demand. The
     construction adds size triples, each that of the vertex of largest
     residual with the two others of largest residual whose triple is
-    unused, overshoot allowed. The repair then picks a random vertex v with
-    r_v != 0: for r_v > 0 it adds v's unused triple of largest partner
-    residuals, for r_v < 0 it removes v's triple of least partner residual
-    sum; one move in ten picks the triple at random instead. Among equal
-    residuals the larger target comes first, then a random rank per vertex
-    (random ties alone cost more nodes on planted targets and build fewer
-    reduced ones). All draws come from a SplitMix64 seeded from the target,
-    so the outcome repeats. Each triple added and each move costs a node,
-    and the final check one more; the moves stop after REPAIR_MOVES. None,
-    with the nodes spent, when r is not 0 by then, or with the whole budget
-    when it runs out first.
+    unused, overshoot allowed. The repair then takes the vertices v with
+    r_v != 0 round robin, move k the (k mod their count)-th by index
+    (always the first of them cycles on some targets): for r_v > 0 it adds
+    v's unused triple of largest partner residuals, for r_v < 0 it removes
+    v's triple of least partner residual sum. Among equal residuals the
+    larger target comes first, then the order the previous sort left (the
+    residual alone builds fewer boundary targets). Nothing is drawn at
+    random, so the outcome repeats. Each triple added and each move costs a
+    node, and the final check one more; the moves stop after REPAIR_MOVES.
+    None, with the nodes spent, when r is not 0 by then, or with the whole
+    budget when it runs out first.
 
     Precondition: size = sum(target) / 3, and the vertices of positive
     demand have at least size triples (so at least three of them when
     size > 0).
     """
-    seed = len(target)
-    for t in target:
-        seed = (seed * 0x100000001B3 + t) & 0xFFFFFFFFFFFFFFFF
-    rng = SplitMix64(seed)
     verts = [v for v, t in enumerate(target) if t]
     # ascending key is descending residual r_v = -(key[v] >> shift), then
-    # descending target, then a random byte of a draw
-    shift = max(target, default=0).bit_length() + 9
+    # descending target, then the order the stable sort leaves
+    shift = max(target, default=0).bit_length() + 1
     one = 1 << shift
-    ranks = b"".join(rng.next_u64().to_bytes(8, "little") for _ in range(0, len(target), 8))
-    key = [(one >> 1) - (t << 8) + rank - t * one for rank, t in zip(ranks, target)]
+    key = [(one >> 1) - t - t * one for t in target]
     order = sorted(verts, key=key.__getitem__)
     bit = [1 << v for v in range(len(target))]
     edges: dict[int, Triple] = {}  # a triple's vertex bitmask -> the triple
@@ -469,39 +465,23 @@ def _construct(
         if nodes > budget:
             return None, budget
         order.sort(key=key.__getitem__)
-        # the top two partners inline: pick's call and scan are the rare case
-        v, a, c = order[0], order[1], order[2]
-        m = bit[v] | bit[a] | bit[c]
-        if m not in edges:
-            edges[m] = (v, a, c)
-            key[v] += one
-            key[a] += one
-            key[c] += one
-        elif not pick(v, order[1:]):
+        if not pick(order[0], order[1:]):
             break
     bad = [v for v in verts if key[v] >> shift]
-    for _ in range(REPAIR_MOVES):
+    for move in range(REPAIR_MOVES):
         if not bad:
             break
         nodes += 1
         if nodes > budget:
             return None, budget
-        v = bad[rng.below(len(bad))]
-        wild = rng.below(10) == 0
+        v = bad[move % len(bad)]
         if key[v] < 0:
             order.sort(key=key.__getitem__)
-            others = [u for u in order if u != v]
-            if wild:
-                rng.shuffle(others)
-            pick(v, others)
+            pick(v, [u for u in order if u != v])
         else:
             through = [m for m in edges if m & bit[v]]
-            m = (
-                through[rng.below(len(through))]
-                if wild
-                # the least residual sum, by -r_u = key[u] >> shift
-                else max(through, key=lambda m: sum(key[u] >> shift for u in edges[m]))
-            )
+            # the least residual sum, by -r_u = key[u] >> shift
+            m = max(through, key=lambda m: sum(key[u] >> shift for u in edges[m]))
             for u in edges.pop(m):
                 key[u] -= one
         bad = [v for v in verts if key[v] >> shift]

@@ -720,20 +720,33 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, loads):
     assert sorted(loaded.intersection(_WATCHED)) == sorted(loads)
 
 
-def test_polytope_imports_core_not_solver():
-    # solver loads polytope for a long search, so polytope must not load
-    # solver back: the degree count both use lives in core
+def _loaded_by(module):
+    """The modules a fresh process holds after importing hyperdeg.<module>."""
     src = Path(hyperdeg.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
         "import sys\n"
-        "import hyperdeg.polytope\n"
+        f"import hyperdeg.{module}\n"
         "print(*sorted(sys.modules), file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.splitlines()[-1].split())
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_polytope_imports_core_not_solver():
+    # solver loads polytope for a long search, so polytope must not load
+    # solver back: the degree count both use lives in core
+    loaded = _loaded_by("polytope")
     assert "hyperdeg.core" in loaded
     assert "hyperdeg.solver" not in loaded
+
+
+def test_solver_imports_core_not_workbench():
+    # the engine draws nothing at random, so it has no use for the wire
+    # formats and generators of workbench
+    loaded = _loaded_by("solver")
+    assert {"hyperdeg.core", "hyperdeg.reduction"} <= loaded
+    assert "hyperdeg.workbench" not in loaded
