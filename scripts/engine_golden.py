@@ -22,20 +22,22 @@ polytope row adds the separator):
 - "polytope": `decide_degseq(d, budget)` on d reduced from
   `gen_partition(12, 20, s)`, s < 50, planted and unplanted, then on the
   LP_SEEDS targets, at budgets 2000 and 10^6: the root bound refutes 60
-  of its 270 rows at 1 node and forces on the other 210; 56 of those
-  reach the polytope layer, 24 of them a NO whose rest was exhausted and
-  whose separator the layer supplies.
+  of its 270 rows at 1 node and forces on the other 210; 62 of those
+  reach the polytope layer. It supplies the separator of 24 NOs (18
+  rests past the allowance, 4 exhausted rests, 2 forced overshoots), and
+  on the other 38 the restart on the forced rest finds the YES.
   Nodes count the LP's pivots; the row ends with the certificate edges
   and the NO separator, each null when absent.
 
-The rows of the first five sections all decide within 143 nodes, inside
-the search's allowance (300 nodes past the depth of a straight dive), so
-the polytope layer never runs on them. The root forces on 288 degseq and
-48 zero rows, never on a partition row (an all-ones target scores every
-triple alike). The construction runs on 1189 of the 3105 degseq rows and
-builds every one, 92 of them after repair (216 moves, at most 10 on one
-row), and on the 250 partition rows at n = 3, whose one triple is all of
-S0, at the 2 nodes the search took; it runs on no zero or polytope row.
+The rows of the first five sections all decide within 143 nodes, and the
+polytope layer runs on none of them: no decider row there outlasts the
+search's allowance (30 nodes past the depth of a straight dive) with
+budget left. The root forces on 288 degseq and 48 zero rows, never on a
+partition row (an all-ones target scores every triple alike). The
+construction runs on 1189 of the 3105 degseq rows and builds every one,
+92 of them after repair (216 moves, at most 10 on one row), and on the
+250 partition rows at n = 3, whose one triple is all of S0, at the 2
+nodes the search took; it runs on no zero or polytope row.
 
 The raw sections prepare their input as the deciders do, since `_search`
 checks neither half of its precondition: a target total not divisible by
@@ -52,9 +54,10 @@ node counts (branching order, new pruning), and say so:
 
 With --diff it records the rows in memory and, without writing the file,
 prints per section how many rows changed in answer, nodes, certificate and
-separator; it exits 1 if an answer or a certificate changed (or the rows
-no longer pair up), so a change that only moves node counts can account
-for its rows before regenerating:
+separator, and, where nodes moved, the section's node total (old -> new)
+and how many rows went up and how many down; it exits 1 if an answer or a
+certificate changed (or the rows no longer pair up), so a change that only
+moves node counts can account for its rows before regenerating:
 
     PYTHONPATH=src python scripts/engine_golden.py --diff
 """
@@ -266,6 +269,10 @@ def dump(golden: dict) -> str:
 def diff(old: dict, new: dict) -> bool:
     """Print, per section, how many rows changed in each field.
 
+    Where node counts moved, the line ends with the section's node total,
+    old -> new, and how many rows went up and how many down, so a change
+    that moves nodes can take its account from here.
+
     Returns True when the rows still pair up and no answer or certificate
     changed; nodes and separators may move on purpose.
     """
@@ -275,8 +282,12 @@ def diff(old: dict, new: dict) -> bool:
         aligned = len(old[key]) == len(new[key]) and all(a[:k] == b[:k] for a, b in pairs)
         counts = {field: sum(a[k + f] != b[k + f] for a, b in pairs if len(a) > k + f)
                   for f, field in enumerate(("answer", "nodes", "certificate", "separator"))}
-        print(f"{key}: {len(new[key])} rows" + "".join(f", {f} {c}" for f, c in counts.items())
-              + ("" if aligned else ", inputs differ"))
+        line = f"{key}: {len(new[key])} rows" + "".join(f", {f} {c}" for f, c in counts.items())
+        if counts["nodes"]:
+            up = sum(a[k + 1] < b[k + 1] for a, b in pairs)
+            line += (f"; node total {sum(a[k + 1] for a in old[key])} -> "
+                     f"{sum(b[k + 1] for b in new[key])}, {up} up, {counts['nodes'] - up} down")
+        print(line + ("" if aligned else ", inputs differ"))
         same = same and aligned and not counts["answer"] and not counts["certificate"]
     return same
 

@@ -15,9 +15,10 @@ of two ways:
   a NO. An uncertified float dual never decides anything.
 - otherwise: after a search that outlasted its allowance, the final
   point x* (a vertex when feasible, with at most n fractional
-  coordinates) ranks the candidates by -x*_e, and the search restarts in
-  that order, so its first dive follows an almost integral solution;
-  after a forced NO, the NO stands without a separator.
+  coordinates) ranks the rest that search ran on (the candidates the
+  root neither forced in nor left out) by -x*_e, and the search restarts
+  on it in that order, so its first dive follows an almost integral
+  solution; after a forced NO, the NO stands without a separator.
 
 The simplex is the revised bounded one, over an explicit n x n basis
 inverse, with duals updated per pivot and the entering column the most

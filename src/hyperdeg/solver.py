@@ -121,14 +121,15 @@ decide_zero or decide_partition target whose S0 is not every triple.
 The rules cannot see all that the polytope {Mx = t, 0 <= x <= 1}
 forces (on reduced instances, S+ in and S- out of every realization,
 which the root bound catches only in part), so a search that outlasts
-a fixed allowance (ALLOWANCE nodes plus the depth of a straight dive of
+a short allowance (ALLOWANCE nodes plus the depth of a straight dive of
 the rest) hands over to polytope.solve, and so does a forced NO, for its
 separator; solve runs at most once per decide (see _run_search). Its
 infeasibility yields a separator y (its duals rationally reconstructed
 and scaled by the lcm of their denominators), a NO only once
 core.verify_separator has checked it exactly; after a search past its
-allowance, its final point x* otherwise reorders the candidates for a
-restart on the remaining budget. Pivots count as nodes.
+allowance, its final point x* otherwise reorders the same rest for a
+restart on the remaining budget, against the same goal, so forcing is
+never thrown away. Pivots count as nodes.
 
 The budget is a node-expansion count, not wall time, so outcomes are
 reproducible across machines; exceeding it yields UNKNOWN, and any larger
@@ -175,9 +176,9 @@ from .reduction import (
     verify_zero_certificate,
 )
 
-# nodes the plain search spends before the polytope layer, on top of the
+# nodes the first search spends before the polytope layer, on top of the
 # depth of a straight dive (so a dive that meets no failure is never cut)
-ALLOWANCE = 300
+ALLOWANCE = 30
 # supergradient steps the root bound may take from s = t before it gives up
 ROOT_STEPS = 3
 # repair moves a construction may make before it hands over to the search
@@ -539,8 +540,13 @@ def _run_search(
     search's first dive (from x = 0 after an overshoot, since its start
     must stay within the target), its pivots charged as nodes: an
     infeasible LP whose separator passes the exact check answers NO;
-    otherwise the search restarts, unforced, on the remaining budget with
-    the candidates ranked by -x*_e (stable on the demand order). Nothing
+    otherwise the same search runs again on the remaining budget, on the
+    same rest against the same goal, with the rest ranked by -x*_e
+    (stable on the demand order), and a YES of it gains A too. A and the
+    left-out candidates hold in every realization, so an exhausted
+    restart is a NO like an exhausted first search, without a separator
+    since the LP gave none. With nothing forced the restart
+    runs on every searched candidate against effective. Nothing
     here depends on the budget except where it stops, so a larger budget
     gives the same YES/NO at the same node count, but for a forced NO
     whose LP the budget cut short: it gains its separator and the LP's
@@ -607,32 +613,36 @@ def _run_search(
             if abs(x - theta) <= gap and goal[e[0]] and goal[e[1]] and goal[e[2]]
         ]
         nodes = 1
-    answer, edges = "NO", None
-    dive: list[int] = []
+    answer, edges, lp = "NO", None, None
+    dive: Union[list[int], None] = []
+    order = rest
+    allowance = min(budget - nodes, ALLOWANCE + size - len(forced))
     # forced triples that alone overshoot some t_v leave nothing to search,
     # and the LP starts from x = 0, since A would break its precondition
-    if min(goal, default=0) >= 0:
-        allowance = min(budget - nodes, ALLOWANCE + size - len(forced))
-        answer, edges, more = _search(n, [ordered[q] for q in rest], goal, allowance, dive)
-        nodes += more
-        dive[:] = forced + [rest[q] for q in dive]
-        if answer == "YES":
-            edges += tuple(map(ordered.__getitem__, forced))
-    # a forced NO asks the polytope for the separator an exhausted rest lacks
-    if (answer == "UNKNOWN" or fixing and answer == "NO") and nodes < budget:
+    fits = min(goal, default=0) >= 0
+    while True:
+        if fits:
+            answer, edges, more = _search(n, [ordered[q] for q in order], goal, allowance, dive)
+            nodes += more
+        # the first search's UNKNOWN asks the polytope once, and so does a
+        # forced NO, for the separator an exhausted rest lacks
+        if lp is not None or answer == "YES" or answer == "NO" and not fixing or nodes >= budget:
+            break
         from . import polytope  # only searches past the allowance, and forced NOs, load it
 
-        lp = polytope.solve(n, ordered, effective, dive, budget - nodes)
+        start = forced + [rest[q] for q in dive] if fits else []
+        lp = polytope.solve(n, ordered, effective, start, budget - nodes)
         nodes += lp.pivots
         y = certified(polytope.separator(lp.duals) if lp.status == "infeasible" else None)
         if y is not None:
             return "NO", None, y, nodes
-        if answer == "UNKNOWN" and nodes < budget:
-            rank = sorted(range(len(ordered)), key=lambda p: -lp.x[p])
-            answer, edges, more = _search(n, [ordered[p] for p in rank], effective, budget - nodes)
-            nodes += more
+        if answer == "NO":
+            break
+        # the rest again, ranked by -x*_e, on what the budget has left
+        order = sorted(rest, key=lambda q: -lp.x[q])
+        allowance, dive = budget - nodes, None
     if answer == "YES":
-        edges = realized(edges)
+        edges = realized(edges + tuple(map(ordered.__getitem__, forced)))
     return answer, edges, None, nodes
 
 

@@ -118,9 +118,17 @@ def test_engine_golden_diff_refuses_a_changed_answer(capsys, engine_golden):
     assert module.diff(old, old)
     # nodes and separators may move; an answer may not
     new = {key: [list(row) for row in rows] for key, rows in old.items()}
-    new["degseq"][0][2] += 1
+    new["degseq"][0][2] += 5
+    new["degseq"][1][2] -= 1
     new["polytope"][0][-1] = [0]
+    capsys.readouterr()
     assert module.diff(old, new)
+    # a section whose nodes moved gives its node total and the rows up and down
+    total = sum(row[2] for row in old["degseq"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == (f"degseq: 3105 rows, answer 0, nodes 2, certificate 0, separator 0; "
+                      f"node total {total} -> {total + 4}, 1 up, 1 down")
+    assert out[5] == "polytope: 270 rows, answer 0, nodes 0, certificate 0, separator 1"
     new["zero"][0][3] = "NO"
     assert not module.diff(old, new)
     assert "zero: 600 rows, answer 1, nodes 0" in capsys.readouterr().out

@@ -728,7 +728,7 @@ class TestRootForcing:
         with _root_forcings() as seen:
             out = decide_degseq(d, budget=2000)
         assert seen == [True] and statuses == ["infeasible"]
-        assert (out.answer, out.stats.nodes) == ("NO", 409)
+        assert (out.answer, out.stats.nodes) == ("NO", 139)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
         assert not bruteforce_partition(inst)
 
@@ -963,7 +963,7 @@ class TestPolytopeLayer:
         return statuses
 
     # unplanted seeds that no root bound refutes: the root forces, and the
-    # LP's separator answers NO (at 409, 344, 340 nodes)
+    # LP's separator answers NO (at 139, 74, 70 nodes)
     @pytest.mark.parametrize("seed", [14, 21, 34])
     def test_frontier_no_by_separator(self, monkeypatch, seed):
         statuses = self._lp_statuses(monkeypatch)
@@ -1015,10 +1015,35 @@ class TestPolytopeLayer:
         for d in engine_golden.polytope_corpus():
             for budget in engine_golden.POLYTOPE_BUDGETS:
                 decide_degseq(d, budget)
-        assert len(starts) == 56
+        assert len(starts) == 62
         assert all(distinct and within for _, distinct, within in starts), starts
         # one target's forced triples overshoot: at both budgets its LP starts from x = 0
         assert sum(size == 0 for size, _, _ in starts) == 2
+
+    def test_restart_searches_the_forced_rest(self, monkeypatch):
+        # reduced gen_partition(12, 20, seed=107), unplanted, one of the
+        # polytope golden's LP_SEEDS: the root forces, the rest outlasts its
+        # allowance, the LP is feasible, and the restart searches that rest
+        # again, ranked by -x*, against the same goal t - deg(A)
+        d = reduce_partition_to_degseq(gen_partition(12, 20, seed=107)).degseq.d
+        t = d.values
+        searched = solver._includable(enumerate_triples(12), t)
+        fixing = []
+        ranked = _ordered_candidates(searched, t)
+        assert solver._root_separator(t, searched, ranked, sum(t) // 3, fixing) is None
+        _, scores, theta, gap = fixing
+        forced = {e for e, x in zip(searched, scores) if x > theta + gap}
+        left_out = {e for e, x in zip(searched, scores) if x < theta - gap}
+        statuses = self._lp_statuses(monkeypatch)
+        with _search_inputs() as seen:
+            out = decide_degseq(d, budget=2000)
+        assert statuses == ["feasible"] and out.answer == "YES"
+        (rest, goal), (restart, again) = seen
+        assert goal == again == tuple(map(int.__sub__, t, _degrees(12, forced)))
+        assert set(restart) <= set(rest)
+        assert not set(restart) & forced and not set(restart) & left_out
+        assert forced and forced <= set(out.certificate.edges)
+        assert verify_certificate(out.certificate, d)
 
     def test_budget_monotone_through_the_layer(self, monkeypatch):
         statuses = self._lp_statuses(monkeypatch)
@@ -1047,7 +1072,7 @@ class TestPolytopeLayer:
         inst = ThreePartitionInstance((3, 2, 8, 2, 2, 0, 0, 3, 7), 9)
         d = reduce_partition_to_degseq(inst).degseq.d
         out = decide_degseq(d, budget=2000)
-        assert (out.answer, out.stats.nodes) == ("NO", 352)
+        assert (out.answer, out.stats.nodes) == ("NO", 82)
         assert not bruteforce_partition(inst)
         assert verify_separator(out.separator, d.values, enumerate_triples(d.n))
 
